@@ -275,22 +275,14 @@ private:
     W.line("#include \"ds/IntrusiveList.h\"");
     W.line("#include \"ds/VectorMap.h\"");
     W.line("#include \"support/Arena.h\"");
-    if (M.hasFacade()) {
-      W.line("#include \"concurrent/BoundedQueue.h\"");
-      W.line("#include \"concurrent/Epoch.h\"");
-      W.line("#include \"concurrent/ScanPool.h\"");
-      W.line("#include \"concurrent/StripedLock.h\"");
-    }
+    if (M.hasFacade())
+      W.line("#include \"concurrent/ShardedCore.h\"");
     W.line("#include \"support/Hashing.h\"");
     W.line();
     W.line("#include <array>");
-    if (M.hasFacade())
-      W.line("#include <atomic>");
     W.line("#include <cassert>");
     W.line("#include <cstddef>");
     W.line("#include <cstdint>");
-    if (M.hasFacade())
-      W.line("#include <memory>");
     if (M.hasTransactions())
       W.line("#include <type_traits>");
     W.line("#include <vector>");
@@ -922,8 +914,10 @@ private:
   }
 
   //===------------------------------------------------------------------===
-  // The sharded concurrent facade (the static mirror of
-  // src/concurrent/ConcurrentRelation; see docs/CONCURRENCY.md).
+  // The sharded concurrent facade: routing and typed per-method bodies
+  // over relc::ShardedCore (src/concurrent/ShardedCore.h), the runtime
+  // the interpreted ConcurrentRelation shares — the protocol itself is
+  // never emitted. See docs/CONCURRENCY.md.
   //===------------------------------------------------------------------===
 
   void emitConcurrentFacade() {
@@ -939,52 +933,37 @@ private:
            "is hash-");
     W.line("/// partitioned across NumShards " + Seq +
            " sub-instances by column");
-    W.line("/// '" + SCName + "', one reader-writer stripe per shard. "
-           "Operations whose");
-    W.line("/// pattern binds the shard column take exactly one stripe; "
-           "the rest");
-    W.line("/// fan out (reads per shard in turn, mutations under all "
-           "writer locks");
-    W.line("/// in ascending order). Reads are wait-free on the common "
-           "path: an");
-    W.line("/// epoch read-side section (relc::EpochGuard) plus a check "
-           "of the");
-    W.line("/// shard's writer gate replaces the reader lock, which is "
-           "taken only");
-    W.line("/// while a writer holds the gate. Writers drain overlapping "
-           "sections");
-    W.line("/// with relc::EpochWriterFence before mutating. The lock "
-           "discipline,");
-    W.line("/// visibility guarantees, and the no-reentrant-callback rule "
-           "mirror the");
-    W.line("/// interpreted relc::ConcurrentRelation (docs/CONCURRENCY.md).");
-    W.line("/// Shard state is copy-on-write: snapshot() freezes the "
-           "current shard");
-    W.line("/// set behind a refcounted handle in O(NumShards), writers "
-           "clone a");
-    W.line("/// pinned shard before touching it, and frozen shards are "
-           "reclaimed");
-    W.line("/// through the process epoch manager once unpinned.");
+    W.line("/// '" + SCName + "'. Operations whose pattern binds the shard "
+           "column touch");
+    W.line("/// one shard; the rest fan out (reads shard by shard, "
+           "mutations under");
+    W.line("/// every writer stripe). Stripes, wait-free epoch reads, "
+           "copy-on-write");
+    W.line("/// snapshots and the size counter are relc::ShardedCore, the "
+           "runtime the");
+    W.line("/// interpreted relc::ConcurrentRelation shares "
+           "(docs/CONCURRENCY.md);");
+    W.line("/// this class routes and supplies the typed bodies. Callbacks "
+           "must not");
+    W.line("/// call back into the facade.");
     W.open("class " + Fac + " {");
     W.line("public:");
     W.line("  static constexpr unsigned NumShards = " +
            std::to_string(M.Shards) + ";");
-    W.open("  " + Fac + "() {");
-    W.line("for (auto &S : Shards)");
-    W.line("  S = std::make_shared<" + Seq + ">();");
-    W.line("for (auto &P : Pins)");
-    W.line("  P = std::make_shared<std::atomic<size_t>>(0);");
-    W.close("}");
+    W.line("  /// A consistent point-in-time view of the whole relation; "
+           "reads");
+    W.line("  /// against it take no locks (see relc::ShardedCore).");
+    W.line("  using Snapshot = relc::ShardedCore<" + Seq + ">::Snapshot;");
+    W.line("  " + Fac + "() = default;");
     W.line("  " + Fac + "(const " + Fac + " &) = delete;");
     W.line("  " + Fac + " &operator=(const " + Fac + " &) = delete;");
     W.line("  /// Lock-free; exact whenever it does not race a mutation.");
-    W.line("  size_t size() const { return Size.load("
-           "std::memory_order_relaxed); }");
+    W.line("  size_t size() const { return Core.size(); }");
     W.line("  bool empty() const { return size() == 0; }");
     W.line("  /// Direct shard access for tests and benches; the caller is");
     W.line("  /// responsible for exclusion.");
     W.line("  const " + Seq + " &shard(unsigned I) const "
-           "{ return *Shards[I]; }");
+           "{ return Core.shard(I); }");
 
     for (const MethodOp &Op : M.Ops) {
       if (Op.Where != Layer::Facade)
@@ -998,14 +977,7 @@ private:
         W.line("  /// insert r t, routed to the owning shard under its "
                "writer lock.");
         W.open("  bool insert(" + params(All, "v_") + ") {");
-        W.line("unsigned S = shardOf(v_" + SCName + ");");
-        W.line("auto Lock = Locks.exclusive(S);");
-        W.line("relc::EpochWriterFence Fence(Gates[S]);");
-        W.line("bool Changed = writable(S).insert(" + colList(All, "v_") +
-               ");");
-        W.line("if (Changed)");
-        W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-        W.line("return Changed;");
+        emitWriteOne("v_" + SCName, "insert(" + colList(All, "v_") + ")");
         W.close("}");
         break;
       case OpKind::Query:
@@ -1033,20 +1005,7 @@ private:
         W.line("  /// snapshot handle are replaced fresh and retired, not "
                "reset");
         W.line("  /// in place.");
-        W.open("  void clear() {");
-        W.line("relc::AllShardsGuard Guard(Locks);");
-        W.line("relc::EpochWriterFence Fence = fenceAll();");
-        W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-        W.open("if (Pins[S]->load(std::memory_order_acquire) == 0) {");
-        W.line("Shards[S]->clear();");
-        W.line("continue;");
-        W.close("}");
-        W.line("retireShard(std::move(Shards[S]));");
-        W.line("Shards[S] = std::make_shared<" + Seq + ">();");
-        W.line("Pins[S] = std::make_shared<std::atomic<size_t>>(0);");
-        W.close("}");
-        W.line("Size.store(0, std::memory_order_relaxed);");
-        W.close("}");
+        W.line("  void clear() { Core.clear(); }");
         break;
       case OpKind::LookupBy:
         assert(false && "lookup_by_* is never a facade op");
@@ -1055,196 +1014,29 @@ private:
     }
 
     W.line();
-    W.line("  /// A consistent point-in-time view of the whole relation: "
-           "the");
-    W.line("  /// shard set frozen by snapshot(). Holding a handle pins "
-           "the");
-    W.line("  /// frozen shards — writers copy-on-write around them — and");
-    W.line("  /// reads against it need no locks at all.");
-    W.open("  class Snapshot {");
-    W.line("public:");
-    W.line("  Snapshot() = default;");
-    W.line("  /// Copies share the pinned generation: the source already "
-           "holds");
-    W.line("  /// every count >= 1, so relaxed increments suffice.");
-    W.open("  Snapshot(const Snapshot &O) : Count(O.Count) {");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Shards[S] = O.Shards[S];");
-    W.line("Pins[S] = O.Pins[S];");
-    W.line("if (Pins[S])");
-    W.line("  Pins[S]->fetch_add(1, std::memory_order_relaxed);");
-    W.close("}");
-    W.close("}");
-    W.open("  Snapshot &operator=(const Snapshot &O) {");
-    W.open("if (this != &O) {");
-    W.line("Snapshot Tmp(O);");
-    W.line("*this = std::move(Tmp);");
-    W.close("}");
-    W.line("return *this;");
-    W.close("}");
-    W.line("  Snapshot(Snapshot &&O) noexcept = default;");
-    W.open("  Snapshot &operator=(Snapshot &&O) noexcept {");
-    W.open("if (this != &O) {");
-    W.line("unpinAll();");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Shards[S] = std::move(O.Shards[S]);");
-    W.line("Pins[S] = std::move(O.Pins[S]);");
-    W.close("}");
-    W.line("Count = O.Count;");
-    W.close("}");
-    W.line("return *this;");
-    W.close("}");
-    W.line("  ~Snapshot() { unpinAll(); }");
-    W.line("  bool valid() const { return Shards[0] != nullptr; }");
-    W.line("  size_t size() const { return Count; }");
-    W.line("  bool empty() const { return Count == 0; }");
-    W.line("  const " + Seq + " &shard(unsigned I) const "
-           "{ return *Shards[I]; }");
-    W.line("  /// Visits every row (ascending column order), shard by "
-           "shard.");
-    W.open("  template <typename FnT> void scanRows(FnT &&Emit) const {");
-    W.line("for (const auto &S : Shards)");
-    W.line("  S->scanRows(Emit);");
-    W.close("}");
+    W.line("  /// O(NumShards), no per-tuple work: pins the live shards "
+           "under a");
+    W.line("  /// brief all-stripe shared hold; writers clone a pinned "
+           "shard before");
+    W.line("  /// touching it, so the view never moves.");
+    W.line("  Snapshot snapshot() const { return Core.snapshot(); }");
     W.line();
     W.line("private:");
-    W.line("  friend class " + Fac + ";");
-    W.line("  /// Release-decrements pair with writable()'s acquire probe: "
-           "a");
-    W.line("  /// writer that reads zero happens-after every read this "
-           "handle");
-    W.line("  /// made of the pinned state.");
-    W.open("  void unpinAll() {");
-    W.line("for (const auto &P : Pins)");
-    W.line("  if (P)");
-    W.line("    P->fetch_sub(1, std::memory_order_release);");
-    W.close("}");
-    W.line("  std::shared_ptr<const " + Seq + "> Shards[NumShards];");
-    W.line("  std::shared_ptr<std::atomic<size_t>> Pins[NumShards];");
-    W.line("  size_t Count = 0;");
-    W.close("};");
-    W.line();
-    W.line("  /// O(NumShards), no per-tuple work: under a brief all-stripe");
-    W.line("  /// SHARED acquisition the shard pointers are copied into the");
-    W.line("  /// handle. Writers landing afterwards clone pinned shards");
-    W.line("  /// before mutating, so the view never moves; the frozen "
-           "state");
-    W.line("  /// is handed to the process epoch manager when the last "
-           "handle");
-    W.line("  /// drops.");
-    W.open("  Snapshot snapshot() const {");
-    W.line("relc::AllShardsGuard Guard(Locks, "
-           "relc::AllShardsGuard::Shared);");
-    W.line("Snapshot Snap;");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.line("Snap.Shards[S] = Shards[S];");
-    W.line("Snap.Pins[S] = Pins[S];");
-    W.line("// The only 0 -> 1 transition: writers are excluded by the");
-    W.line("// shared stripe hold, so relaxed suffices here — the edge");
-    W.line("// writers need comes from the handle's release decrement.");
-    W.line("Snap.Pins[S]->fetch_add(1, std::memory_order_relaxed);");
-    W.close("}");
-    W.line("Snap.Count = Size.load(std::memory_order_relaxed);");
-    W.line("return Snap;");
-    W.close("}");
-    W.line();
-    W.line("private:");
-    W.line("  /// Rows per chunk of *_parallel queries: result rows cross "
-           "the");
-    W.line("  /// merge queue in batches so the queue mutex is taken once "
-           "per");
-    W.line("  /// chunk, not once per row.");
-    W.line("  static constexpr size_t ScanChunkRows = 128;");
-    W.line("  /// Slots (chunks) in the bounded merge queue.");
-    W.line("  static constexpr size_t ScanQueueChunks = 8;");
     W.open("  static unsigned shardOf(int64_t V) {");
     W.line("return static_cast<unsigned>(relc::hashMix64("
            "static_cast<uint64_t>(V)) % NumShards);");
     W.close("}");
-    W.line("  /// Runs Body over shard S: wait-free inside an epoch "
-           "section when");
-    W.line("  /// the shard's writer gate is down, else under the shard's "
-           "reader");
-    W.line("  /// lock (the fallback every new reader takes while a "
-           "writer");
-    W.line("  /// fence is up). Body must not block or mutate the facade.");
-    W.open("  template <typename BodyT> void readShard(unsigned S, "
-           "BodyT &&Body) const {");
-    W.open("{");
-    W.line("relc::EpochGuard Guard(&Gates[S]);");
-    W.open("if (!Gates[S].writerActive()) {");
-    W.line("Body();");
-    W.line("return;");
-    W.close("}");
-    W.close("}");
-    W.line("auto Lock = Locks.shared(S);");
-    W.line("Body();");
-    W.close("}");
-    W.line("  /// Raises every shard gate and drains the overlapping "
-           "wait-free");
-    W.line("  /// read sections; the caller holds all writer locks.");
-    W.open("  relc::EpochWriterFence fenceAll() {");
-    W.line("return relc::EpochWriterFence(Gates, AllShardIdx, NumShards);");
-    W.close("}");
-    emitAllShardIdx();
-    W.line("  /// The COW write-side hook: every mutation reaches its "
-           "shard");
-    W.line("  /// through this. An unpinned shard (pin count 0) passes");
-    W.line("  /// through untouched — the steady-state fast path. A pinned");
-    W.line("  /// one is cloned row by row and the frozen original retired.");
-    W.line("  /// Sound because the caller holds the shard's writer stripe:");
-    W.line("  /// 0 -> 1 happens only under snapshot()'s all-stripe SHARED");
-    W.line("  /// hold (excluded here), handle copies increment counts "
-           "their");
-    W.line("  /// source keeps >= 1, and drops release-decrement — so an");
-    W.line("  /// acquire load of zero happens-after every read a dropped");
-    W.line("  /// handle made, making in-place mutation race-free.");
-    W.open("  " + Seq + " &writable(unsigned S) {");
-    W.line("std::shared_ptr<" + Seq + "> &Cur = Shards[S];");
-    W.line("if (Pins[S]->load(std::memory_order_acquire) == 0)");
-    W.line("  return *Cur;");
-    W.line("auto Fresh = std::make_shared<" + Seq + ">();");
-    W.open("Cur->scanRows([&](" +
-           params(D.spec()->columns(), "v_") + ") {");
-    W.line("Fresh->insert(" + colList(D.spec()->columns(), "v_") + ");");
-    W.close("});");
-    W.line("retireShard(std::move(Cur));");
-    W.line("Cur = std::move(Fresh);");
-    W.line("// A new pin generation: handles keep their detached counter;");
-    W.line("// the live slot starts unpinned again.");
-    W.line("Pins[S] = std::make_shared<std::atomic<size_t>>(0);");
-    W.line("return *Cur;");
-    W.close("}");
-    W.line("  /// Hands a frozen shard to the process epoch manager: it is");
-    W.line("  /// freed once every in-flight epoch reader has moved on AND");
-    W.line("  /// the last snapshot handle pinning it drops.");
-    W.open("  static void retireShard(std::shared_ptr<" + Seq +
-           "> Old) {");
-    W.line("relc::EpochManager::global().retireObject(");
-    W.line("    new std::shared_ptr<" + Seq + ">(std::move(Old)));");
-    W.close("}");
-    W.line("  relc::StripedLockSet Locks{NumShards};");
-    W.line("  relc::EpochGate Gates[NumShards];");
-    W.line("  std::shared_ptr<" + Seq + "> Shards[NumShards];");
-    W.line("  /// One pin counter per shard-state generation, swapped fresh");
-    W.line("  /// on every copy-on-write clone. Nonzero means a snapshot");
-    W.line("  /// handle still reads that generation.");
-    W.line("  std::shared_ptr<std::atomic<size_t>> Pins[NumShards];");
-    W.line("  std::atomic<size_t> Size{0};");
+    W.line("  relc::ShardedCore<" + Seq + "> Core{NumShards};");
     W.close("};");
   }
 
-  /// The 0..NumShards-1 index array fenceAll() hands to the multi-gate
-  /// EpochWriterFence constructor.
-  void emitAllShardIdx() {
-    std::string Init;
-    for (unsigned S = 0; S != M.Shards; ++S) {
-      if (S)
-        Init += ", ";
-      Init += std::to_string(S);
-    }
-    W.line("  static constexpr unsigned AllShardIdx[NumShards] = {" + Init +
-           "};");
+  /// The body of a routed single-shard write: \p Call on the writable
+  /// shard owning shard-column value \p ShardVal, inside the core's
+  /// one-stripe write scope.
+  void emitWriteOne(const std::string &ShardVal, const std::string &Call) {
+    W.line("unsigned S = shardOf(" + ShardVal + ");");
+    W.line("return Core.writeOne(S, [&] { return Core.writable(S)." + Call +
+           "; });");
   }
 
   //===------------------------------------------------------------------===
@@ -1346,31 +1138,29 @@ private:
     std::string FwdArgs = colList(Q.InputCols, "q_");
     if (!FwdArgs.empty())
       FwdArgs += ", ";
+    std::string Read = "[&](const " + M.ClassName + " &Sh) { Sh." + Q.Name +
+                       "(" + FwdArgs + "Emit); });";
 
     W.line();
     if (Routed) {
       W.line("  /// " + Q.Name + ": routed (the inputs bind '" + SCName +
              "'), one shard,");
-      W.line("  /// wait-free via readShard (reader lock only while a "
-             "writer holds");
-      W.line("  /// the shard's gate).");
+      W.line("  /// wait-free (reader lock only while a writer holds the "
+             "shard).");
       W.open("  template <typename FnT> void " + Q.Name + "(" + Params +
              "FnT &&Emit) const {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("readShard(S, [&] { Shards[S]->" + Q.Name + "(" + FwdArgs +
-             "Emit); });");
+      W.line("Core.read(shardOf(q_" + SCName + "), " + Read);
       W.close("}");
       return;
     }
 
-    W.line("  /// " + Q.Name + ": fan-out, each shard in turn via "
-           "readShard");
-    W.line("  /// (per-shard-consistent, not a global snapshot).");
+    W.line("  /// " + Q.Name + ": fan-out, each shard in turn "
+           "(per-shard-consistent,");
+    W.line("  /// not a global snapshot).");
     W.open("  template <typename FnT> void " + Q.Name + "(" + Params +
            "FnT &&Emit) const {");
     W.line("for (unsigned S = 0; S != NumShards; ++S)");
-    W.line("  readShard(S, [&] { Shards[S]->" + Q.Name + "(" + FwdArgs +
-           "Emit); });");
+    W.line("  Core.read(S, " + Read);
     W.close("}");
   }
 
@@ -1392,7 +1182,6 @@ private:
     std::string FwdArgs = colList(Op.InputCols, "q_");
     if (!FwdArgs.empty())
       FwdArgs += ", ";
-    std::string RowT = "std::array<int64_t, " + std::to_string(K) + ">";
     std::string LambdaParams, RowInit, EmitArgs;
     for (unsigned I = 0; I != K; ++I) {
       if (I) {
@@ -1404,69 +1193,37 @@ private:
       RowInit += "r" + std::to_string(I);
       EmitArgs += "Row[" + std::to_string(I) + "]";
     }
-    W.line("  /// As " + Op.Callee + ", with one pooled worker per shard "
-           "(the process-");
-    W.line("  /// wide relc::ScanPool — no thread spawn per call) feeding "
-           "a bounded");
-    W.line("  /// merge queue in ScanChunkRows-row chunks: the same "
-           "multiset of");
-    W.line("  /// rows, in arbitrary interleaved order. Workers read "
-           "under shard");
-    W.line("  /// reader locks, not epoch sections — pool tasks may block "
-           "on queue");
-    W.line("  /// backpressure, which a read-side section must never do. "
-           "Emit runs");
-    W.line("  /// on the calling thread and must not call back into this "
-           "facade.");
+    W.line("  /// As " + Op.Callee + ", scanned by one pooled worker per "
+           "shard under");
+    W.line("  /// its reader lock (relc::ShardedCore::scanParallel): the "
+           "same");
+    W.line("  /// multiset of rows, in arbitrary interleaved order. Emit "
+           "runs on the");
+    W.line("  /// calling thread.");
     W.open("  template <typename FnT> void " + Op.Name + "(" + Params +
            "FnT &&Emit) const {");
-    W.line("using ChunkT = std::vector<" + RowT + ">;");
-    W.line("relc::BoundedQueue<ChunkT> Queue(ScanQueueChunks, NumShards);");
-    W.line("relc::ScanPool::TaskGroup Tasks(relc::ScanPool::global());");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("Tasks.submit([&, S] {");
-    W.line("auto Lock = Locks.shared(S);");
-    W.line("ChunkT C;");
-    W.line("C.reserve(ScanChunkRows);");
-    W.open("Shards[S]->" + Op.Callee + "(" + FwdArgs + "[&](" + LambdaParams +
-           ") {");
-    W.line("C.push_back(" + RowT + "{" + RowInit + "});");
-    W.open("if (C.size() == ScanChunkRows) {");
-    W.line("Queue.push(std::move(C));");
-    W.line("C.clear();");
-    W.line("C.reserve(ScanChunkRows);");
-    W.close("}");
-    W.close("});");
-    W.line("if (!C.empty())");
-    W.line("  Queue.push(std::move(C));");
-    W.line("Queue.producerDone();");
-    W.close("});");
-    W.close("}");
-    W.line("ChunkT Chunk;");
-    W.line("while (Queue.pop(Chunk))");
-    W.line("  for (const " + RowT + " &Row : Chunk)");
-    W.line("    Emit(" + EmitArgs + ");");
-    W.line("Tasks.wait();");
+    W.line("using RowT = std::array<int64_t, " + std::to_string(K) + ">;");
+    W.line("Core.scanParallel<RowT>(");
+    W.line("    [&](const " + M.ClassName + " &Sh, auto &&Push) {");
+    W.line("      Sh." + Op.Callee + "(" + FwdArgs + "[&](" + LambdaParams +
+           ") { Push(RowT{" + RowInit + "}); });");
+    W.line("    },");
+    W.line("    [&](const RowT &Row) {");
+    W.line("      Emit(" + EmitArgs + ");");
+    W.line("      return true;");
+    W.line("    });");
     W.close("}");
   }
 
   void emitFacadeRemove(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    bool Routed = Op.Lock.Routed;
     std::string Name = "remove_by_" + colsSuffix(Key);
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": routed, one shard under its writer "
              "lock.");
       W.open("  bool " + Name + "(" + params(Key, "q_") + ") {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      W.line("bool Removed = writable(S)." + Name + "(" + colList(Key, "q_") +
-             ");");
-      W.line("if (Removed)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Removed;");
+      emitWriteOne("q_" + SCName, Name + "(" + colList(Key, "q_") + ")");
       W.close("}");
       return;
     }
@@ -1475,49 +1232,31 @@ private:
     W.line("  /// unknown — all writer locks, try each shard (at most one "
            "match).");
     W.open("  bool " + Name + "(" + params(Key, "q_") + ") {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
-    W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("if (writable(S)." + Name + "(" + colList(Key, "q_") + ")) {");
-    W.line("Size.fetch_sub(1, std::memory_order_relaxed);");
-    W.line("return true;");
-    W.close("}");
-    W.close("}");
+    W.open("return Core.writeAll([&] {");
+    W.line("for (unsigned S = 0; S != NumShards; ++S)");
+    W.line("  if (Core.writable(S)." + Name + "(" + colList(Key, "q_") + "))");
+    W.line("    return true;");
     W.line("return false;");
+    W.close("});");
     W.close("}");
   }
 
   void emitFacadeUpdate(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
-    bool Routed = Op.Lock.Routed;
+    ColumnSet Rest = D.spec()->columns().minus(Key);
     std::string Name = "update_by_" + colsSuffix(Key);
     std::string Params = params(Key, "q_");
     if (!Rest.empty())
       Params += ", " + params(Rest, "v_");
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": routed (the key binds '" + SCName +
              "' and the new");
       W.line("  /// values cannot rewrite it), one shard under its writer "
              "lock.");
       W.open("  bool " + Name + "(" + Params + ") {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      // The shard-local reinsert can no-op on an FD-violating
-      // collision with another key (release builds); track the
-      // shard's size delta so the facade counter never drifts.
-      // Bind the writable shard once: the COW clone (if any) must
-      // happen before Before is sampled.
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.line("bool Updated = Sh." + Name + "(" +
-             mixedArgs(Key, "q_", "v_") + ");");
-      W.line("if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Updated;");
+      emitWriteOne("q_" + SCName,
+                   Name + "(" + mixedArgs(Key, "q_", "v_") + ")");
       W.close("}");
       return;
     }
@@ -1528,34 +1267,26 @@ private:
     W.line("  /// the current owner, reinsert into the new one "
            "(migration).");
     W.open("  bool " + Name + "(" + Params + ") {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
+    W.open("return Core.writeAll([&] {");
     W.open("for (unsigned S = 0; S != NumShards; ++S) {");
-    W.open("if (writable(S).remove_by_" + colsSuffix(Key) + "(" +
+    W.open("if (Core.writable(S).remove_by_" + colsSuffix(Key) + "(" +
            colList(Key, "q_") + ")) {");
-    // A false insert() is an FD-violating collision in the target
-    // shard; keep Size consistent with the shards regardless.
-    W.line("if (!writable(shardOf(v_" + SCName + ")).insert(" +
-           mixedArgs(Key, "q_", "v_") + "))");
-    W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
+    W.line("Core.writable(shardOf(v_" + SCName + ")).insert(" +
+           mixedArgs(Key, "q_", "v_") + ");");
     W.line("return true;");
     W.close("}");
     W.close("}");
     W.line("return false;");
+    W.close("});");
     W.close("}");
   }
 
   void emitFacadeUpsert(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
-    bool Routed = Op.Lock.Routed;
+    ColumnSet Rest = D.spec()->columns().minus(Key);
     std::string Name = "upsert_by_" + colsSuffix(Key);
-    std::string FnArgs = "Found";
-    if (!Rest.empty())
-      FnArgs += ", " + colList(Rest, "c_");
     W.line();
-    if (Routed) {
+    if (Op.Lock.Routed) {
       W.line("  /// " + Name + ": the atomic read-modify-write, routed — "
              "ONE shard");
       W.line("  /// writer lock linearizes the whole cycle (see the "
@@ -1564,27 +1295,13 @@ private:
              " for the callback contract).");
       W.open("  template <typename FnT> bool " + Name + "(" +
              params(Key, "q_") + ", FnT &&Fn) {");
-      W.line("unsigned S = shardOf(q_" + SCName + ");");
-      W.line("auto Lock = Locks.exclusive(S);");
-      W.line("relc::EpochWriterFence Fence(Gates[S]);");
-      // Track the shard's size delta rather than trusting the return
-      // value: an FD-violating collision with another key can make
-      // the shard-local reinsert no-op (release builds), and the
-      // facade counter must follow the shards regardless. Bind the
-      // writable shard once: the COW clone (if any) must happen
-      // before Before is sampled.
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.line("bool Inserted = Sh." + Name + "(" +
-             colList(Key, "q_") + ", Fn);");
-      W.line("if (Sh.size() > Before)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
-      W.line("return Inserted;");
+      emitWriteOne("q_" + SCName, Name + "(" + colList(Key, "q_") + ", Fn)");
       W.close("}");
       return;
     }
+    std::string FnArgs = "Found";
+    if (!Rest.empty())
+      FnArgs += ", " + colList(Rest, "c_");
     W.line("  /// " + Name + ": the key misses '" + SCName +
            "' — all writer locks;");
     W.line("  /// the new values may rewrite the shard column, migrating "
@@ -1592,37 +1309,33 @@ private:
     W.line("  /// tuple to its new owner.");
     W.open("  template <typename FnT> bool " + Name + "(" +
            params(Key, "q_") + ", FnT &&Fn) {");
-    W.line("relc::AllShardsGuard Guard(Locks);");
-    W.line("relc::EpochWriterFence Fence = fenceAll();");
+    W.open("return Core.writeAll([&] {");
     for (ColumnId C : Rest)
       W.line("int64_t c_" + Cat.name(C) + " = 0;");
-    W.line("unsigned Owner = NumShards;");
-    std::string LookupArgs = colList(Key, "q_");
-    if (!Rest.empty())
-      LookupArgs += ", " + colList(Rest, "c_");
-    W.line("for (unsigned S = 0; S != NumShards && Owner == NumShards; "
-           "++S)");
-    W.line("  if (Shards[S]->lookup_by_" + colsSuffix(Key) + "(" +
-           LookupArgs + "))");
-    W.line("    Owner = S;");
+    emitFindOwner(Key, "c_");
     W.line("bool Found = Owner != NumShards;");
     W.line("Fn(" + FnArgs + ");");
     W.line("if (Found)");
-    W.line("  writable(Owner).remove_by_" + colsSuffix(Key) + "(" +
+    W.line("  Core.writable(Owner).remove_by_" + colsSuffix(Key) + "(" +
            colList(Key, "q_") + ");");
     // SC is a non-key column here, so the new owner comes from c_<SC>.
-    // A false insert() means the new tuple collided with an existing
-    // one on another key FD — an FD-violating input, but keep Size
-    // consistent with the shards regardless (as the interpreted
-    // ConcurrentRelation::upsert does).
-    W.line("bool Inserted = writable(shardOf(c_" + SCName + ")).insert(" +
+    W.line("Core.writable(shardOf(c_" + SCName + ")).insert(" +
            mixedArgs(Key, "q_", "c_") + ");");
-    W.line("if (!Found && Inserted)");
-    W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-    W.line("else if (Found && !Inserted)");
-    W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
     W.line("return !Found;");
+    W.close("});");
     W.close("}");
+  }
+
+  /// Fan-out owner search: Owner = the shard holding key q_<Key>
+  /// (NumShards if none), its non-key values read into <ValPrefix>*.
+  void emitFindOwner(ColumnSet Key, const std::string &ValPrefix) {
+    ColumnSet Rest = D.spec()->columns().minus(Key);
+    W.line("unsigned Owner = NumShards;");
+    W.line("for (unsigned S = 0; S != NumShards && Owner == NumShards; "
+           "++S)");
+    W.line("  if (Core.shard(S).lookup_by_" + colsSuffix(Key) + "(" +
+           join({colList(Key, "q_"), colList(Rest, ValPrefix)}) + "))");
+    W.line("    Owner = S;");
   }
 
   /// Joins non-empty argument-list fragments with ", ".
@@ -1639,10 +1352,10 @@ private:
   }
 
   //===------------------------------------------------------------------===
-  // transact*_by_<key>: the atomic N-key read-modify-write. Arity 2 is
-  // the historical transfer shape (pairwise Lo/Hi lock ordering); any
-  // larger arity locks its owning stripe set through ShardSetGuard,
-  // which sorts, dedups, and acquires ascending — the same total order.
+  // transact*_by_<key>: the atomic N-key read-modify-write. Routed keys
+  // lock their owning stripe set through the core's writeSet scope,
+  // which sorts, dedups, and acquires ascending — the same total order
+  // as every other multi-stripe acquisition.
   //===------------------------------------------------------------------===
 
   /// Per-side naming: sides are a_, b_, c_, ... with FoundA/FoundB/...
@@ -1656,8 +1369,7 @@ private:
 
   void emitFacadeTransact(const MethodOp &Op, const std::string &SCName) {
     ColumnSet Key = Op.Key;
-    ColumnSet All = D.spec()->columns();
-    ColumnSet Rest = All.minus(Key);
+    ColumnSet Rest = D.spec()->columns().minus(Key);
     unsigned N = Op.Arity;
     assert(N >= 2 && "transact op with a degenerate arity");
     bool Routed = Op.Lock.Routed;
@@ -1710,47 +1422,25 @@ private:
              "always");
       W.line("  /// commits. Returns true if the transaction committed.");
     }
+    std::string Scope = "Core.writeAll([&] {";
     if (Routed) {
-      if (N == 2) {
-        W.line("  /// Locking: exactly the owning shard stripes — one or "
-               "two, never");
-        W.line("  /// all — acquired in ascending index order (two-phase "
-               "locking, the");
-        W.line("  /// same total order as every other multi-stripe "
-               "acquisition).");
-        W.open("  template <typename FnT> bool " + Name + "(" + Params +
-               ") {");
-        W.line("unsigned SA = shardOf(a_" + SCName + ");");
-        W.line("unsigned SB = shardOf(b_" + SCName + ");");
-        W.line("unsigned Lo = SA < SB ? SA : SB;");
-        W.line("unsigned Hi = SA < SB ? SB : SA;");
-        W.line("auto LockLo = Locks.exclusive(Lo);");
-        W.line("std::unique_lock<std::shared_mutex> LockHi;");
-        W.line("if (Hi != Lo)");
-        W.line("  LockHi = Locks.exclusive(Hi);");
-        W.line("unsigned FenceIdx[2] = {Lo, Hi};");
-        W.line("relc::EpochWriterFence Fence(Gates, FenceIdx, "
-               "Hi != Lo ? 2u : 1u);");
-      } else {
-        W.line("  /// Locking: exactly the owning shard stripes — at most " +
-               std::to_string(N) + ", never");
-        W.line("  /// all — sorted, deduped, and acquired in ascending "
-               "index order by");
-        W.line("  /// ShardSetGuard (two-phase locking, the same total "
-               "order as every");
-        W.line("  /// other multi-stripe acquisition).");
-        W.open("  template <typename FnT> bool " + Name + "(" + Params +
-               ") {");
-        std::string StripeList;
-        for (unsigned I = 0; I != N; ++I) {
-          W.line("unsigned S" + sideLetter(I) + " = shardOf(" +
-                 sidePrefix(I) + SCName + ");");
-          StripeList = join({StripeList, "S" + sideLetter(I)});
-        }
-        W.line("relc::ShardSetGuard Guard(Locks, {" + StripeList + "});");
-        W.line("relc::EpochWriterFence Fence(Gates, "
-               "Guard.stripes().data(), Guard.stripes().size());");
+      W.line("  /// Locking: exactly the owning shard stripes — " +
+             (N == 2 ? std::string("one or two") :
+                       "at most " + std::to_string(N)) +
+             ", never all —");
+      W.line("  /// acquired in ascending index order (two-phase locking, "
+             "the same");
+      W.line("  /// total order as every other multi-stripe "
+             "acquisition).");
+      W.open("  template <typename FnT> bool " + Name + "(" + Params +
+             ") {");
+      std::string StripeList;
+      for (unsigned I = 0; I != N; ++I) {
+        W.line("unsigned S" + sideLetter(I) + " = shardOf(" +
+               sidePrefix(I) + SCName + ");");
+        StripeList = join({StripeList, "S" + sideLetter(I)});
       }
+      Scope = "Core.writeSet({" + StripeList + "}, [&] {";
     } else {
       W.line("  /// Locking: the key misses '" + SCName +
              "', so the owners are unknown");
@@ -1759,25 +1449,25 @@ private:
       W.line("  /// ascending order.");
       W.open("  template <typename FnT> bool " + Name + "(" + Params +
              ") {");
-      W.line("relc::AllShardsGuard Guard(Locks);");
-      W.line("relc::EpochWriterFence Fence = fenceAll();");
     }
+    W.open("return " + Scope);
     for (ColumnId C : Rest)
       for (unsigned I = 0; I != N; ++I)
         W.line("int64_t " + sidePrefix(I) + Cat.name(C) + " = 0;");
     for (unsigned I = 0; I != N; ++I) {
       std::string Side = sideLetter(I);
-      std::string P = sidePrefix(I);
-      std::string LookupArgs = join({colList(Key, P), colList(Rest, P)});
+      std::string Lookup = "lookup_by_" + Suffix + "(" +
+                           join({colList(Key, sidePrefix(I)),
+                                 colList(Rest, sidePrefix(I))}) +
+                           ");";
       if (Routed) {
-        W.line("bool Found" + Side + " = Shards[S" + Side +
-               "]->lookup_by_" + Suffix + "(" + LookupArgs + ");");
+        W.line("bool Found" + Side + " = Core.shard(S" + Side + ")." +
+               Lookup);
       } else {
         W.line("bool Found" + Side + " = false;");
         W.line("for (unsigned S = 0; S != NumShards && !Found" + Side +
                "; ++S)");
-        W.line("  Found" + Side + " = Shards[S]->lookup_by_" + Suffix +
-               "(" + LookupArgs + ");");
+        W.line("  Found" + Side + " = Core.shard(S)." + Lookup);
       }
     }
     W.line("bool Commit = true;");
@@ -1794,6 +1484,7 @@ private:
                    colList(Rest, sidePrefix(I))}) + ");");
     }
     W.line("return true;");
+    W.close("});");
     W.close("}");
 
     // The write-back half, shared by all sides; private.
@@ -1805,49 +1496,31 @@ private:
     if (Routed) {
       W.line("  /// Write-back half of " + Name + ": upserts the key to "
              "the given");
-      W.line("  /// values on shard S, whose writer lock the caller "
-             "holds.");
+      W.line("  /// values on shard S, inside the caller's write scope.");
       W.open("  void " + Apply + "(" + ApplyParams + ") {");
-      W.line(M.ClassName + " &Sh = writable(S);");
-      W.line("size_t Before = Sh.size();");
-      W.open("Sh.upsert_by_" + Suffix + "(" +
+      W.open("Core.writable(S).upsert_by_" + Suffix + "(" +
              join({colList(Key, "q_"),
                    "[&](" + join({"bool", refParams(Rest, "r_")}) + ") {"}));
       for (ColumnId C : Rest)
         W.line("r_" + Cat.name(C) + " = c_" + Cat.name(C) + ";");
       W.close("});");
-      W.line("if (Sh.size() > Before)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Sh.size() < Before)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
       W.close("}");
     } else {
-      W.line("  /// Write-back half of " + Name + " under every writer "
-             "lock (held by");
-      W.line("  /// the caller): upserts the key to the given values, "
+      W.line("  /// Write-back half of " + Name + " inside the caller's "
+             "all-stripe");
+      W.line("  /// write scope: upserts the key to the given values, "
              "migrating the");
       W.line("  /// tuple to the shard of the new '" + SCName +
              "' value.");
       W.open("  void " + Apply + "(" + ApplyParams + ") {");
       for (ColumnId C : Rest)
         W.line("int64_t o_" + Cat.name(C) + " = 0;");
-      W.line("unsigned Owner = NumShards;");
-      std::string LookupArgs = join({colList(Key, "q_"),
-                                     colList(Rest, "o_")});
-      W.line("for (unsigned S = 0; S != NumShards && Owner == NumShards; "
-             "++S)");
-      W.line("  if (Shards[S]->lookup_by_" + Suffix + "(" + LookupArgs +
-             "))");
-      W.line("    Owner = S;");
+      emitFindOwner(Key, "o_");
       W.line("if (Owner != NumShards)");
-      W.line("  writable(Owner).remove_by_" + Suffix + "(" +
+      W.line("  Core.writable(Owner).remove_by_" + Suffix + "(" +
              colList(Key, "q_") + ");");
-      W.line("bool Inserted = writable(shardOf(c_" + SCName + ")).insert(" +
+      W.line("Core.writable(shardOf(c_" + SCName + ")).insert(" +
              mixedArgs(Key, "q_", "c_") + ");");
-      W.line("if (Owner == NumShards && Inserted)");
-      W.line("  Size.fetch_add(1, std::memory_order_relaxed);");
-      W.line("else if (Owner != NumShards && !Inserted)");
-      W.line("  Size.fetch_sub(1, std::memory_order_relaxed);");
       W.close("}");
     }
     W.line();

@@ -6,126 +6,81 @@
 
 #include "concurrent/ConcurrentRelation.h"
 
-#include "concurrent/BoundedQueue.h"
-#include "concurrent/ScanPool.h"
-
 #include <algorithm>
 #include <unordered_set>
 #include <utility>
 
 using namespace relc;
 
+std::shared_ptr<SynthesizedRelation>
+ShardHooks<SynthesizedRelation>::make(const Decomposition &D) {
+  auto S = std::make_shared<SynthesizedRelation>(Decomposition(D));
+  S->enableConcurrentReads();
+  S->enableDeferredReclamation();
+  return S;
+}
+
+std::shared_ptr<SynthesizedRelation>
+ShardHooks<SynthesizedRelation>::clone(const SynthesizedRelation &Cur) {
+  std::shared_ptr<SynthesizedRelation> Fresh = emptyLike(Cur);
+  ColumnSet All = Cur.catalog().allColumns();
+  Cur.scanFrames(Tuple(), All, [&](const BindingFrame &F) {
+    [[maybe_unused]] bool Ins = Fresh->insert(F.toTuple(All));
+    assert(Ins && "shard clone re-inserted a duplicate");
+    return true;
+  });
+  return Fresh;
+}
+
 ConcurrentRelation::ConcurrentRelation(const Decomposition &D,
                                        ConcurrentOptions Opts)
     : Router(Opts.ShardColumn ? *Opts.ShardColumn
                               : ShardRouter::defaultShardColumn(D),
              Opts.NumShards),
-      Locks(Opts.NumShards), Proto(D),
-      // Clamp: capacity 0 would be modulo-by-zero UB inside the
-      // queue's ring in release builds (its own check is assert-only).
-      ScanQueueCap(Opts.ScanQueueCapacity > 0 ? Opts.ScanQueueCapacity
-                                              : 1) {
+      Proto(D),
+      Core(
+          Opts.NumShards,
+          [&] { return ShardHooks<SynthesizedRelation>::make(Proto); },
+          Opts.ScanQueueCapacity) {
   assert(Router.shardColumn() < D.catalog().size() &&
          "shard column is not a column of the relation");
   FdProbesRoute = true;
   for (const FuncDep &Fd : D.spec()->fds().deps())
     FdProbesRoute &= Fd.Lhs.contains(Router.shardColumn());
-  Gates = std::make_unique<EpochGate[]>(Opts.NumShards);
-  AllShardIdx.resize(Opts.NumShards);
-  for (unsigned I = 0; I != Opts.NumShards; ++I)
-    AllShardIdx[I] = I;
-  Shards.reserve(Opts.NumShards);
-  Pins.reserve(Opts.NumShards);
-  for (unsigned I = 0; I != Opts.NumShards; ++I) {
-    Shards.push_back(freshShard());
-    Pins.push_back(std::make_shared<std::atomic<size_t>>(0));
-  }
 }
 
-std::shared_ptr<SynthesizedRelation> ConcurrentRelation::freshShard() const {
-  auto S = std::make_shared<SynthesizedRelation>(Decomposition(Proto));
-  S->enableConcurrentReads();
-  // Freed node memory outlives the epoch grace period, so a reader
-  // racing ahead of its gate check can never touch unmapped memory.
-  S->enableDeferredReclamation();
-  return S;
-}
-
-void ConcurrentRelation::retireShardRef(
-    std::shared_ptr<SynthesizedRelation> Old) {
-  EpochManager::global().retireObject(
-      new std::shared_ptr<SynthesizedRelation>(std::move(Old)));
-}
-
-SynthesizedRelation &ConcurrentRelation::writable(unsigned S) {
-  std::shared_ptr<SynthesizedRelation> &Cur = Shards[S];
-  // The acquire pairs with Snapshot handles' release-decrements: a
-  // zero read here happens-after every read any dropped handle made
-  // of this state, so mutating in place cannot race them. (A relaxed
-  // use_count probe would establish no such edge — see the header.)
-  if (Pins[S]->load(std::memory_order_acquire) == 0)
-    return *Cur; // unpinned: the steady-state fast path
-  // A snapshot pins this instance: clone it (the one-time COW cost of
-  // the first write after the snapshot), freeze the original, swap.
-  std::shared_ptr<SynthesizedRelation> Fresh = freshShard();
-  ColumnSet All = catalog().allColumns();
-  Cur->scanFrames(Tuple(), All, [&](const BindingFrame &F) {
-    [[maybe_unused]] bool Ins = Fresh->insert(F.toTuple(All));
-    assert(Ins && "shard clone re-inserted a duplicate");
-    return true;
-  });
-  // In-flight epoch hand-backs from pre-snapshot mutations must not
-  // land in the frozen arena's pending stack (no writer will drain it
-  // again); detaching bumps the generation so they drop instead.
-  Cur->freezeArena();
-  retireShardRef(std::move(Cur));
-  Cur = std::move(Fresh);
-  // The clone starts a new pin generation: handles pinning the frozen
-  // state keep their (now-detached) counter; the live slot gets a
-  // fresh zero so the next mutation is in-place again.
-  Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-  return *Cur;
+template <typename BodyT>
+decltype(auto) ConcurrentRelation::underPlan(const TxLockPlan &Plan,
+                                             BodyT &&Body) {
+  // The all-stripes and stripe-set scopes share the ascending
+  // acquisition order, so mixed transactions cannot deadlock.
+  if (Plan.AllShards)
+    return Core.writeAll(Body);
+  return Core.writeSet(Plan.Stripes, Body);
 }
 
 bool ConcurrentRelation::insert(const Tuple &T) {
   unsigned S = Router.shardOf(T);
-  auto Lock = Locks.exclusive(S);
-  EpochWriterFence Fence(Gates[S]);
-  bool Changed = writable(S).insert(T);
-  if (Changed)
-    Count.fetch_add(1, std::memory_order_relaxed);
-  return Changed;
+  return Core.writeOne(S, [&] { return Core.writable(S).insert(T); });
 }
 
 size_t ConcurrentRelation::remove(const Tuple &Pattern) {
-  // The counter update must stay inside the stripe hold: snapshot()
-  // cuts {shard pointers, ticket, Count} under an all-stripe shared
-  // acquisition, so a decrement after the exclusive scope closes
-  // could land on the far side of a snapshot that already saw the
-  // shrunken shard.
+  // Each shard is probed before the COW gate: a miss must not clone a
+  // pinned shard.
   if (Router.routes(Pattern.columns())) {
     unsigned S = Router.shardOf(Pattern);
-    auto Lock = Locks.exclusive(S);
-    EpochWriterFence Fence(Gates[S]);
-    // Probe before the COW gate: a miss must not clone a pinned shard.
-    size_t Removed = Shards[S]->contains(Pattern)
-                         ? writable(S).remove(Pattern)
-                         : 0;
-    Count.fetch_sub(Removed, std::memory_order_relaxed);
-    return Removed;
+    return Core.writeOne(S, [&]() -> size_t {
+      return Core.shard(S).contains(Pattern) ? Core.writable(S).remove(Pattern)
+                                             : 0;
+    });
   }
-  return removeAllShards(Pattern);
-}
-
-size_t ConcurrentRelation::removeAllShards(const Tuple &Pattern) {
-  AllShardsGuard Guard(Locks);
-  EpochWriterFence Fence = fenceAll();
-  size_t Removed = 0;
-  for (unsigned S = 0; S != Shards.size(); ++S)
-    if (Shards[S]->contains(Pattern))
-      Removed += writable(S).remove(Pattern);
-  Count.fetch_sub(Removed, std::memory_order_relaxed);
-  return Removed;
+  return Core.writeAll([&] {
+    size_t Removed = 0;
+    for (unsigned S = 0; S != numShards(); ++S)
+      if (Core.shard(S).contains(Pattern))
+        Removed += Core.writable(S).remove(Pattern);
+    return Removed;
+  });
 }
 
 size_t ConcurrentRelation::update(const Tuple &Pattern, const Tuple &Changes) {
@@ -135,23 +90,39 @@ size_t ConcurrentRelation::update(const Tuple &Pattern, const Tuple &Changes) {
     return updateRehoming(Pattern, Changes);
   if (Router.routes(Pattern.columns())) {
     unsigned S = Router.shardOf(Pattern);
-    auto Lock = Locks.exclusive(S);
-    EpochWriterFence Fence(Gates[S]);
-    return Shards[S]->contains(Pattern) ? writable(S).update(Pattern, Changes)
-                                        : 0;
+    return Core.writeOne(S, [&]() -> size_t {
+      return Core.shard(S).contains(Pattern)
+                 ? Core.writable(S).update(Pattern, Changes)
+                 : 0;
+    });
   }
   // The pattern is a key, so at most one shard holds a match — but
   // without the shard column which one is unknown: take every writer
   // lock (ascending, per the lock order) and try each shard in turn.
-  AllShardsGuard Guard(Locks);
-  EpochWriterFence Fence = fenceAll();
-  for (unsigned S = 0; S != Shards.size(); ++S) {
-    if (!Shards[S]->contains(Pattern))
-      continue;
-    if (size_t Updated = writable(S).update(Pattern, Changes))
-      return Updated;
-  }
-  return 0;
+  return Core.writeAll([&]() -> size_t {
+    for (unsigned S = 0; S != numShards(); ++S) {
+      if (!Core.shard(S).contains(Pattern))
+        continue;
+      if (size_t Updated = Core.writable(S).update(Pattern, Changes))
+        return Updated;
+    }
+    return 0;
+  });
+}
+
+size_t ConcurrentRelation::rehome(unsigned Owner, const Tuple &Key,
+                                  const Tuple &Old, const Tuple &Values) {
+  Tuple Merged = Old.merge(Values);
+  unsigned Target = Router.shardOf(Merged);
+  if (Target == Owner)
+    return Core.writable(Owner).update(Key, Values);
+  [[maybe_unused]] size_t Removed = Core.writable(Owner).remove(Old);
+  assert(Removed == 1 && "matched tuple vanished during migration");
+  // An FD-violating input can collide with a tuple already in the
+  // target shard and make this insert a no-op; the write scope's size
+  // tally follows the shards regardless.
+  Core.writable(Target).insert(Merged);
+  return 1;
 }
 
 size_t ConcurrentRelation::updateRehoming(const Tuple &Pattern,
@@ -160,33 +131,21 @@ size_t ConcurrentRelation::updateRehoming(const Tuple &Pattern,
   // pattern does not bind it) and the tuple may change owners: locate
   // the matching tuple, then either update in place (same owner) or
   // migrate it (remove + reinsert), all under every writer lock.
-  AllShardsGuard Guard(Locks);
-  EpochWriterFence Fence = fenceAll();
-  ColumnSet All = catalog().allColumns();
-  for (unsigned I = 0; I != Shards.size(); ++I) {
-    Tuple Old;
-    bool Found = false;
-    Shards[I]->scanFrames(Pattern, All, [&](const BindingFrame &F) {
-      Old = F.toTuple(All);
-      Found = true;
-      return false; // the pattern is a key: at most one match
-    });
-    if (!Found)
-      continue;
-    Tuple Merged = Old.merge(Changes);
-    unsigned Target = Router.shardOf(Merged);
-    if (Target == I)
-      return writable(I).update(Pattern, Changes);
-    [[maybe_unused]] size_t Removed = writable(I).remove(Old);
-    assert(Removed == 1 && "matched tuple vanished during migration");
-    if (!writable(Target).insert(Merged))
-      // The merged tuple already existed in the target shard — an
-      // FD-violating input the sequential engine would also mishandle;
-      // keep the size counter consistent with the shards regardless.
-      Count.fetch_sub(1, std::memory_order_relaxed);
-    return 1;
-  }
-  return 0;
+  return Core.writeAll([&]() -> size_t {
+    ColumnSet All = catalog().allColumns();
+    for (unsigned I = 0; I != numShards(); ++I) {
+      Tuple Old;
+      bool Found = false;
+      Core.shard(I).scanFrames(Pattern, All, [&](const BindingFrame &F) {
+        Old = F.toTuple(All);
+        Found = true;
+        return false; // the pattern is a key: at most one match
+      });
+      if (Found)
+        return rehome(I, Pattern, Old, Changes);
+    }
+    return 0;
+  });
 }
 
 bool ConcurrentRelation::upsert(
@@ -201,66 +160,39 @@ bool ConcurrentRelation::upsert(
     // the shard column), so one writer lock linearizes the whole
     // read-modify-write cycle.
     unsigned S = Router.shardOf(Key);
-    auto Lock = Locks.exclusive(S);
-    EpochWriterFence Fence(Gates[S]);
-    // Follow the shard's size delta rather than the return value: an
-    // FD-violating collision with another key can make the reinsert
-    // no-op in release builds, and the counter must track the shards
-    // regardless (as the fan-out path and the emitted facade do).
-    SynthesizedRelation &W = writable(S);
-    size_t Before = W.size();
-    bool Inserted = W.upsert(Key, Fn);
-    size_t After = W.size();
-    if (After > Before)
-      Count.fetch_add(1, std::memory_order_relaxed);
-    else if (After < Before)
-      Count.fetch_sub(1, std::memory_order_relaxed);
-    return Inserted;
+    return Core.writeOne(S, [&] { return Core.writable(S).upsert(Key, Fn); });
   }
   // The key misses the shard column: the owner is unknown and the new
   // values may rewrite the shard column, migrating the tuple — the
   // same all-writer-locks discipline as updateRehoming.
-  AllShardsGuard Guard(Locks);
-  EpochWriterFence Fence = fenceAll();
-  ColumnSet All = catalog().allColumns();
-  ColumnSet Rest = All.minus(Key.columns());
-  for (unsigned I = 0; I != Shards.size(); ++I) {
-    Tuple Old, Values;
-    bool Found = false;
-    Shards[I]->scanFrames(Key, Rest, [&](const BindingFrame &F) {
-      Found = true;
-      Old = F.toTuple(All);
-      Fn(&F, Values);
-      return false; // the pattern is a key: at most one match
-    });
-    if (!Found)
-      continue;
-    assert(Values.columns().subsetOf(Rest) &&
-           "upsert values must not rebind key columns");
-    if (Values.empty())
-      return false;
-    Tuple Merged = Old.merge(Values);
-    unsigned Target = Router.shardOf(Merged);
-    if (Target == I) {
-      writable(I).update(Key, Values);
+  return Core.writeAll([&] {
+    ColumnSet All = catalog().allColumns();
+    ColumnSet Rest = All.minus(Key.columns());
+    for (unsigned I = 0; I != numShards(); ++I) {
+      Tuple Old, Values;
+      bool Found = false;
+      Core.shard(I).scanFrames(Key, Rest, [&](const BindingFrame &F) {
+        Found = true;
+        Old = F.toTuple(All);
+        Fn(&F, Values);
+        return false; // the pattern is a key: at most one match
+      });
+      if (!Found)
+        continue;
+      assert(Values.columns().subsetOf(Rest) &&
+             "upsert values must not rebind key columns");
+      if (!Values.empty())
+        rehome(I, Key, Old, Values);
       return false;
     }
-    [[maybe_unused]] size_t Removed = writable(I).remove(Old);
-    assert(Removed == 1 && "matched tuple vanished during upsert");
-    if (!writable(Target).insert(Merged))
-      // FD-violating collision in the target shard; keep the counter
-      // consistent with the shards (see updateRehoming).
-      Count.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  Tuple Values;
-  Fn(nullptr, Values);
-  assert(Values.columns() == Rest &&
-         "upsert must bind every non-key column when inserting");
-  Tuple Full = Key.merge(Values);
-  if (writable(Router.shardOf(Full)).insert(Full))
-    Count.fetch_add(1, std::memory_order_relaxed);
-  return true;
+    Tuple Values;
+    Fn(nullptr, Values);
+    assert(Values.columns() == Rest &&
+           "upsert must bind every non-key column when inserting");
+    Tuple Full = Key.merge(Values);
+    Core.writable(Router.shardOf(Full)).insert(Full);
+    return true;
+  });
 }
 
 std::optional<unsigned> ConcurrentRelation::txRoutedShard(const TxOp &Op) const {
@@ -314,17 +246,7 @@ ConcurrentRelation::transactLockPlan(const std::vector<TxOp> &Ops) const {
 
 TxResult ConcurrentRelation::transact(const std::vector<TxOp> &Ops) {
   TxLockPlan Plan = transactLockPlan(Ops);
-  if (Plan.AllShards) {
-    // The all-stripes guard and the subset guard share the ascending
-    // acquisition order, so mixed transactions cannot deadlock.
-    AllShardsGuard Guard(Locks);
-    EpochWriterFence Fence = fenceAll();
-    return transactLocked(Ops, Plan.Stripes);
-  }
-  ShardSetGuard Guard(Locks, Plan.Stripes);
-  EpochWriterFence Fence(Gates.get(), Guard.stripes().data(),
-                         Guard.stripes().size());
-  return transactLocked(Ops, Guard.stripes());
+  return underPlan(Plan, [&] { return transactLocked(Ops, Plan.Stripes); });
 }
 
 TxResult ConcurrentRelation::transact(function_ref<void(TxBatch &)> Build) {
@@ -355,7 +277,7 @@ TxResult ConcurrentRelation::transactKeys(
     Pseudo.push_back(TxOp::upsert(K, [](const BindingFrame *, Tuple &) {}));
   TxLockPlan Plan = transactLockPlan(Pseudo);
 
-  auto Run = [&](const std::vector<unsigned> &Scope) -> TxResult {
+  return underPlan(Plan, [&]() -> TxResult {
     // Phase 1 (read, all stripes held): resolve every key's current
     // values. Routed keys probe their owning shard; otherwise every
     // stripe is in Scope and all shards are searched.
@@ -363,7 +285,7 @@ TxResult ConcurrentRelation::transactKeys(
     for (size_t I = 0; I != Keys.size(); ++I) {
       TxKeyView &V = Views[I];
       auto Probe = [&](unsigned S) {
-        Shards[S]->scanFrames(Keys[I], Rest, [&](const BindingFrame &F) {
+        Core.shard(S).scanFrames(Keys[I], Rest, [&](const BindingFrame &F) {
           V.Found = true;
           V.Values = F.toTuple(Rest);
           return false; // the pattern is a key: at most one match
@@ -373,7 +295,7 @@ TxResult ConcurrentRelation::transactKeys(
       if (Router.routes(KeyCols)) {
         Probe(Router.shardOf(Keys[I]));
       } else {
-        for (unsigned S = 0; S != Shards.size() && !Probe(S); ++S) {
+        for (unsigned S = 0; S != numShards() && !Probe(S); ++S) {
         }
       }
     }
@@ -413,21 +335,11 @@ TxResult ConcurrentRelation::transactKeys(
       // draw its ticket while the stripes are held.
       return TxResult{true, 0,
                       TxTickets.fetch_add(1, std::memory_order_relaxed)};
-    TxResult R = transactLocked(Ops, Scope);
+    TxResult R = transactLocked(Ops, Plan.Stripes);
     if (!R.Committed)
       R.FailedOp = OpKey[R.FailedOp];
     return R;
-  };
-
-  if (Plan.AllShards) {
-    AllShardsGuard Guard(Locks);
-    EpochWriterFence Fence = fenceAll();
-    return Run(Plan.Stripes);
-  }
-  ShardSetGuard Guard(Locks, Plan.Stripes);
-  EpochWriterFence Fence(Gates.get(), Guard.stripes().data(),
-                         Guard.stripes().size());
-  return Run(Guard.stripes());
+  });
 }
 
 TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
@@ -436,10 +348,10 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
   auto ScopeSize = [&] {
     size_t N = 0;
     for (unsigned S : Scope)
-      N += Shards[S]->size();
+      N += Core.shard(S).size();
     return N;
   };
-  size_t Before = ScopeSize();
+  [[maybe_unused]] size_t Before = ScopeSize();
 
   // One undo log across shards: (shard, inverse op), applied in
   // reverse on abort.
@@ -475,7 +387,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
         // written (U.B holds the old ones over the same columns).
         Tuple Now;
         [[maybe_unused]] bool Found = false;
-        Shards[S]->scanFrames(Op.A, All, [&](const BindingFrame &F) {
+        Core.shard(S).scanFrames(Op.A, All, [&](const BindingFrame &F) {
           Now = F.toTuple(All);
           Found = true;
           return false; // the pattern is a key: at most one match
@@ -492,7 +404,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
   };
   auto ApplyOn = [&](unsigned S, const TxOp &Op) {
     Tmp.clear();
-    bool Ok = writable(S).applyTxOp(Op, Tmp);
+    bool Ok = Core.writable(S).applyTxOp(Op, Tmp);
     for (TxOp &U : Tmp)
       Undo.emplace_back(S, std::move(U));
     return Ok;
@@ -502,9 +414,9 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
   // every stripe is held (fan-out mode) and all shards are consulted.
   auto Conflicts = [&](const Tuple &T, const Tuple *Exclude) {
     if (FdProbesRoute)
-      return Shards[Router.shardOf(T)]->insertConflictsFds(T, Exclude);
-    for (const std::shared_ptr<SynthesizedRelation> &S : Shards)
-      if (S->insertConflictsFds(T, Exclude))
+      return Core.shard(Router.shardOf(T)).insertConflictsFds(T, Exclude);
+    for (unsigned S = 0; S != numShards(); ++S)
+      if (Core.shard(S).insertConflictsFds(T, Exclude))
         return true;
     return false;
   };
@@ -536,7 +448,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       // rather than through applyTxOp, whose local re-check would
       // repeat every probe while all writer stripes are held.
       unsigned S = Router.shardOf(Op.A);
-      if (writable(S).insert(Op.A))
+      if (Core.writable(S).insert(Op.A))
         Undo.emplace_back(S, TxOp::remove(Op.A));
       break;
     }
@@ -545,8 +457,8 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
         ApplyOn(Router.shardOf(Op.A), Op);
         break;
       }
-      for (unsigned S = 0; S != Shards.size(); ++S)
-        if (Shards[S]->contains(Op.A)) // don't COW-clone a missed shard
+      for (unsigned S = 0; S != numShards(); ++S)
+        if (Core.shard(S).contains(Op.A)) // don't COW-clone a missed shard
           ApplyOn(S, Op);
       break;
     }
@@ -556,8 +468,8 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       // The pattern is a key: at most one shard holds the match.
       Tuple Old;
       unsigned Owner = ~0u;
-      for (unsigned S = 0; S != Shards.size() && Owner == ~0u; ++S)
-        Shards[S]->scanFrames(Op.A, All, [&](const BindingFrame &F) {
+      for (unsigned S = 0; S != numShards() && Owner == ~0u; ++S)
+        Core.shard(S).scanFrames(Op.A, All, [&](const BindingFrame &F) {
           Old = F.toTuple(All);
           Owner = S;
           return false;
@@ -575,7 +487,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       if (Target == Owner) {
         // Validated above; update in place without applyTxOp's
         // redundant re-scan and re-probe.
-        [[maybe_unused]] size_t N = writable(Owner).update(Op.A, Op.B);
+        [[maybe_unused]] size_t N = Core.writable(Owner).update(Op.A, Op.B);
         assert(N == 1 && "matched tuple vanished during update");
         Undo.emplace_back(Owner,
                           TxOp::update(Op.A, Old.project(Op.B.columns())));
@@ -583,10 +495,10 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       }
       // Migration inside the batch: remove + reinsert, two inverse
       // ops (reverse application restores the old home first... last).
-      [[maybe_unused]] size_t Removed = writable(Owner).remove(Old);
+      [[maybe_unused]] size_t Removed = Core.writable(Owner).remove(Old);
       assert(Removed == 1 && "matched tuple vanished during migration");
       Undo.emplace_back(Owner, TxOp::insert(Old));
-      [[maybe_unused]] bool Ins = writable(Target).insert(Merged);
+      [[maybe_unused]] bool Ins = Core.writable(Target).insert(Merged);
       assert(Ins && "conflict-free migration insert must change");
       Undo.emplace_back(Target, TxOp::remove(std::move(Merged)));
       break;
@@ -599,8 +511,8 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       bool Vetoed = false;
       // The callback runs exactly once: inside the owner's scan (the
       // frame is live there), or on nullptr after every shard missed.
-      for (unsigned S = 0; S != Shards.size() && Owner == ~0u; ++S)
-        Shards[S]->scanFrames(Op.A, Rest, [&](const BindingFrame &F) {
+      for (unsigned S = 0; S != numShards() && Owner == ~0u; ++S)
+        Core.shard(S).scanFrames(Op.A, Rest, [&](const BindingFrame &F) {
           Owner = S;
           Old = F.toTuple(All);
           Vetoed = !Op.runUpsertFn(&F, Values);
@@ -625,7 +537,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
           break;
         }
         unsigned Target = Router.shardOf(Full);
-        [[maybe_unused]] bool Ins = writable(Target).insert(Full);
+        [[maybe_unused]] bool Ins = Core.writable(Target).insert(Full);
         assert(Ins && "conflict-free upsert insert must change");
         Undo.emplace_back(Target, TxOp::remove(std::move(Full)));
         break;
@@ -643,17 +555,17 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
       }
       unsigned Target = Router.shardOf(Merged);
       if (Target == Owner) {
-        [[maybe_unused]] size_t N = writable(Owner).update(Op.A, Values);
+        [[maybe_unused]] size_t N = Core.writable(Owner).update(Op.A, Values);
         assert(N == 1 && "matched tuple vanished during upsert");
         Undo.emplace_back(Owner,
                           TxOp::update(Op.A,
                                        Old.project(Values.columns())));
         break;
       }
-      [[maybe_unused]] size_t Removed = writable(Owner).remove(Old);
+      [[maybe_unused]] size_t Removed = Core.writable(Owner).remove(Old);
       assert(Removed == 1 && "matched tuple vanished during migration");
       Undo.emplace_back(Owner, TxOp::insert(Old));
-      [[maybe_unused]] bool Ins = writable(Target).insert(Merged);
+      [[maybe_unused]] bool Ins = Core.writable(Target).insert(Merged);
       assert(Ins && "conflict-free migration insert must change");
       Undo.emplace_back(Target, TxOp::remove(std::move(Merged)));
       break;
@@ -667,15 +579,10 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
     // Every undo entry names a shard the forward pass just mutated, so
     // writable() is a no-op pin check here — no clone can occur.
     for (size_t J = Undo.size(); J != 0; --J)
-      writable(Undo[J - 1].first).applyTxUndo(Undo[J - 1].second);
+      Core.writable(Undo[J - 1].first).applyTxUndo(Undo[J - 1].second);
     assert(ScopeSize() == Before && "rollback did not restore the sizes");
     return TxResult{false, Failed, 0};
   }
-  size_t After = ScopeSize();
-  if (After > Before)
-    Count.fetch_add(After - Before, std::memory_order_relaxed);
-  else if (Before > After)
-    Count.fetch_sub(Before - After, std::memory_order_relaxed);
   // The ticket is drawn while every touched stripe is still held (the
   // linearization point), so conflicting transactions — whose stripe
   // sets intersect — are ticketed in their serialization order. With a
@@ -695,16 +602,7 @@ TxResult ConcurrentRelation::transactLocked(const std::vector<TxOp> &Ops,
 
 void ConcurrentRelation::withTxLocks(const TxLockPlan &Plan,
                                      function_ref<void()> Body) {
-  if (Plan.AllShards) {
-    AllShardsGuard Guard(Locks);
-    EpochWriterFence Fence = fenceAll();
-    Body();
-    return;
-  }
-  ShardSetGuard Guard(Locks, Plan.Stripes);
-  EpochWriterFence Fence(Gates.get(), Guard.stripes().data(),
-                         Guard.stripes().size());
-  Body();
+  underPlan(Plan, Body);
 }
 
 std::vector<Tuple> ConcurrentRelation::query(const Tuple &Pattern,
@@ -740,19 +638,17 @@ void ConcurrentRelation::scanFrames(
   // section or lock), and it must not block indefinitely (a stalled
   // section stalls writer fences).
   if (Router.routes(Pattern.columns())) {
-    unsigned S = Router.shardOf(Pattern);
-    readShard(S, [&] { Shards[S]->scanFrames(Pattern, OutputCols, Fn); });
+    Core.read(Router.shardOf(Pattern), [&](const SynthesizedRelation &Sh) {
+      Sh.scanFrames(Pattern, OutputCols, Fn);
+    });
     return;
   }
   bool Stopped = false;
-  for (unsigned I = 0; I != Shards.size() && !Stopped; ++I)
-    readShard(I, [&] {
-      Shards[I]->scanFrames(Pattern, OutputCols, [&](const BindingFrame &F) {
-        if (!Fn(F)) {
-          Stopped = true;
-          return false;
-        }
-        return true;
+  for (unsigned I = 0; I != numShards() && !Stopped; ++I)
+    Core.read(I, [&](const SynthesizedRelation &Sh) {
+      Sh.scanFrames(Pattern, OutputCols, [&](const BindingFrame &F) {
+        Stopped = !Fn(F);
+        return !Stopped;
       });
     });
 }
@@ -765,61 +661,16 @@ void ConcurrentRelation::scanFramesParallel(
     scanFrames(Pattern, OutputCols, Fn);
     return;
   }
-  // One task per shard runs on the persistent pool, scans under that
-  // shard's reader lock (NOT an epoch section: a task may block on
-  // queue backpressure, which would stall writer fences), and pushes
-  // chunks of copied frames into the bounded merge queue; the calling
-  // thread drains it and runs the sink. Chunking matters: moving rows
-  // one at a time through the queue made the mutex the bottleneck and
-  // parallel scans slower than sequential ones. The copy is the price
-  // of crossing threads — the borrowed-frame zero-allocation contract
-  // still holds per shard, and frames over catalogs within
+  // Frames are copied into the merge queue — the price of crossing
+  // threads. The borrowed-frame zero-allocation contract still holds
+  // per shard, and frames over catalogs within
   // BindingFrame::InlineColumns copy without heap traffic.
-  using Chunk = std::vector<BindingFrame>;
-  constexpr size_t ChunkRows = 128;
-  size_t CapChunks = ScanQueueCap / ChunkRows;
-  if (CapChunks < 2)
-    CapChunks = 2;
-  BoundedQueue<Chunk> Queue(CapChunks, static_cast<unsigned>(Shards.size()));
-  ScanPool::TaskGroup Tasks(ScanPool::global());
-  for (unsigned I = 0; I != Shards.size(); ++I)
-    Tasks.submit([&, I] {
-      Chunk C;
-      C.reserve(ChunkRows);
-      bool Open = true;
-      {
-        auto Lock = Locks.shared(I);
-        Shards[I]->scanFrames(Pattern, OutputCols,
-                              [&](const BindingFrame &F) {
-                                C.push_back(F);
-                                if (C.size() == ChunkRows) {
-                                  // push fails only after close(): the
-                                  // consumer stopped, so stop scanning.
-                                  Open = Queue.push(std::move(C));
-                                  C.clear();
-                                  C.reserve(ChunkRows);
-                                }
-                                return Open;
-                              });
-      }
-      if (Open && !C.empty())
-        Queue.push(std::move(C));
-      Queue.producerDone();
-    });
-  Chunk Rows;
-  bool Stopped = false;
-  while (!Stopped && Queue.pop(Rows)) {
-    for (const BindingFrame &F : Rows) {
-      if (!Fn(F)) {
-        Stopped = true;
-        Queue.close();
-        break;
-      }
-    }
-  }
-  // The group destructor would wait too; explicit for clarity. Tasks
-  // reference Queue and Pattern, so they must finish before we return.
-  Tasks.wait();
+  Core.scanParallel<BindingFrame>(
+      [&](const SynthesizedRelation &Sh, auto &&Push) {
+        Sh.scanFrames(Pattern, OutputCols,
+                      [&](const BindingFrame &F) { return Push(F); });
+      },
+      Fn);
 }
 
 void ConcurrentRelation::scanParallel(const Tuple &Pattern,
@@ -839,76 +690,40 @@ bool ConcurrentRelation::contains(const Tuple &Pattern) const {
   return Found;
 }
 
-void ConcurrentRelation::clear() {
-  AllShardsGuard Guard(Locks);
-  EpochWriterFence Fence = fenceAll();
-  for (unsigned S = 0; S != Shards.size(); ++S) {
-    if (Pins[S]->load(std::memory_order_acquire) == 0) {
-      Shards[S]->clear();
-      continue;
-    }
-    // Pinned by a snapshot: no need for writable()'s O(shard) clone —
-    // the post-clear state is empty, so freeze the original and swap
-    // in a fresh instance directly (with a fresh pin generation).
-    std::shared_ptr<SynthesizedRelation> Fresh = freshShard();
-    Shards[S]->freezeArena();
-    retireShardRef(std::move(Shards[S]));
-    Shards[S] = std::move(Fresh);
-    Pins[S] = std::make_shared<std::atomic<size_t>>(0);
-  }
-  Count.store(0, std::memory_order_relaxed);
-}
+void ConcurrentRelation::clear() { Core.clear(); }
 
 ConcurrentRelation::Snapshot ConcurrentRelation::snapshot() const {
-  // One brief all-stripe SHARED acquisition: writers (who hold their
-  // stripe exclusively across mutation + counter update + ticket draw)
-  // are excluded, so the N shard pointers, the ticket, and the size
-  // are one consistent cut; concurrent readers are unaffected. Only
-  // O(shards) pointer copies happen under the locks.
-  AllShardsGuard Guard(Locks, AllShardsGuard::Shared);
-  Snapshot Snap;
-  Snap.Shards.assign(Shards.begin(), Shards.end());
-  Snap.Pins.assign(Pins.begin(), Pins.end());
-  // The only place a pin count goes 0 -> 1: writers are excluded by
-  // the shared stripe hold, so a relaxed increment suffices — the
-  // publication edge writers need comes from the handle's release
-  // decrement at drop time (see writable()).
-  for (const std::shared_ptr<std::atomic<size_t>> &P : Snap.Pins)
-    P->fetch_add(1, std::memory_order_relaxed);
-  Snap.Ticket = TxTickets.load(std::memory_order_relaxed) - 1;
-  Snap.Count = Count.load(std::memory_order_relaxed);
-  return Snap;
+  // The ticket is cut under the same all-stripe shared hold that pins
+  // the shards: writers draw tickets while holding their stripes.
+  uint64_t Ticket = 0;
+  ShardedCore<SynthesizedRelation>::Snapshot Pinned = Core.snapshot(
+      [&] { Ticket = TxTickets.load(std::memory_order_relaxed) - 1; });
+  return Snapshot(std::move(Pinned), Ticket);
 }
 
 void ConcurrentRelation::Snapshot::scanFrames(
     const Tuple &Pattern, ColumnSet OutputCols,
     function_ref<bool(const BindingFrame &)> Fn) const {
   bool Stopped = false;
-  for (const std::shared_ptr<const SynthesizedRelation> &S : Shards) {
-    if (Stopped)
-      break;
-    S->scanFrames(Pattern, OutputCols, [&](const BindingFrame &F) {
-      if (!Fn(F)) {
-        Stopped = true;
-        return false;
-      }
-      return true;
+  for (unsigned I = 0; I != numShards() && !Stopped; ++I)
+    shard(I).scanFrames(Pattern, OutputCols, [&](const BindingFrame &F) {
+      Stopped = !Fn(F);
+      return !Stopped;
     });
-  }
 }
 
 Relation ConcurrentRelation::Snapshot::toRelation() const {
   assert(valid() && "toRelation on an empty snapshot handle");
-  Relation Result(Shards.front()->catalog().allColumns());
-  for (const std::shared_ptr<const SynthesizedRelation> &S : Shards)
-    Result = Relation::unionWith(Result, S->toRelation());
+  Relation Result(shard(0).catalog().allColumns());
+  for (unsigned I = 0; I != numShards(); ++I)
+    Result = Relation::unionWith(Result, shard(I).toRelation());
   return Result;
 }
 
 size_t ConcurrentRelation::Snapshot::liveInstances() const {
   size_t Live = 0;
-  for (const std::shared_ptr<const SynthesizedRelation> &S : Shards)
-    Live += S->liveInstances();
+  for (unsigned I = 0; I != numShards(); ++I)
+    Live += shard(I).liveInstances();
   return Live;
 }
 
@@ -923,11 +738,19 @@ size_t ConcurrentRelation::liveInstances() const {
 }
 
 void ConcurrentRelation::reoptimize() {
-  AllShardsGuard Guard(Locks);
-  // The fence also drains wait-free readers, who may hold pointers
-  // into the plan caches this replaces; snapshot-pinned shards are
-  // COW-cloned first (their plan caches are shared with the handles).
-  EpochWriterFence Fence = fenceAll();
-  for (unsigned S = 0; S != Shards.size(); ++S)
-    writable(S).reoptimize();
+  // The write scope's fence also drains wait-free readers, who may hold
+  // pointers into the plan caches this replaces; snapshot-pinned
+  // shards are COW-cloned first (their plan caches are shared with the
+  // handles).
+  Core.writeAll([&] {
+    for (unsigned S = 0; S != numShards(); ++S)
+      Core.writable(S).reoptimize();
+  });
+}
+
+bool ConcurrentRelation::hasPlanFor(ColumnSet InputCols,
+                                    ColumnSet OutputCols) const {
+  return Core.read(0, [&](const SynthesizedRelation &Sh) {
+    return Sh.planFor(InputCols, OutputCols) != nullptr;
+  });
 }

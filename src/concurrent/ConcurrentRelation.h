@@ -16,16 +16,13 @@
 /// (docs/CONCURRENCY.md has the full design, lock order, and
 /// visibility guarantees).
 ///
-/// The read path is epoch-protected and wait-free in the common case
-/// (concurrent/Epoch.h): a reader enters an epoch section tagged with
-/// the shard's gate and, finding no writer active on that gate, scans
-/// without touching the stripe lock at all — no shared read-modify-
-/// write, so read throughput scales with cores. When a writer holds
-/// the shard (its gate is raised for the duration of the mutation,
-/// and the raising fence waits out in-flight reader sections), the
-/// reader falls back to the shard's reader lock, which is exactly the
-/// pre-epoch behavior. Writers are unchanged: exclusive stripe locks,
-/// two-phase locking for transact, commit tickets.
+/// The protocol itself — stripes, the epoch-first read path, write
+/// scopes with their fences, copy-on-write snapshots, the size counter
+/// and the pooled parallel scan — is ShardedCore<SynthesizedRelation>
+/// (concurrent/ShardedCore.h), the same core relc-generated facades
+/// run on. This class adds routing, FD-probe routing, and the
+/// transaction layer: two-phase locking for transact, undo logs,
+/// redo derivation for the commit hook, and commit tickets.
 ///
 /// Correctness: every full tuple is owned by exactly one shard (the
 /// hash of its shard-column value), so the represented relation is the
@@ -42,9 +39,8 @@
 #ifndef RELC_CONCURRENT_CONCURRENTRELATION_H
 #define RELC_CONCURRENT_CONCURRENTRELATION_H
 
-#include "concurrent/Epoch.h"
 #include "concurrent/ShardRouter.h"
-#include "concurrent/StripedLock.h"
+#include "concurrent/ShardedCore.h"
 #include "runtime/SynthesizedRelation.h"
 
 #include <atomic>
@@ -56,10 +52,30 @@
 
 namespace relc {
 
+/// ShardedCore's copy-on-write hooks for interpreted shards. Every
+/// instance runs with concurrent reads and epoch-deferred reclamation
+/// enabled (freed node memory outlives the grace period, so a reader
+/// racing ahead of its gate check never touches unmapped memory).
+template <> struct ShardHooks<SynthesizedRelation> {
+  static std::shared_ptr<SynthesizedRelation> make(const Decomposition &D);
+  static std::shared_ptr<SynthesizedRelation>
+  emptyLike(const SynthesizedRelation &Like) {
+    return make(Like.decomp());
+  }
+  /// Re-inserts every row into a fresh instance.
+  static std::shared_ptr<SynthesizedRelation>
+  clone(const SynthesizedRelation &Cur);
+  /// In-flight epoch hand-backs from earlier mutations must not land in
+  /// the frozen arena's pending stack (no writer drains it again);
+  /// detaching bumps the generation so they drop instead.
+  static void retire(SynthesizedRelation &Old) { Old.freezeArena(); }
+};
+
 struct ConcurrentOptions {
-  /// Number of sub-relations. More shards = more writer parallelism
-  /// and more fan-out work for non-routed operations; powers of two
-  /// around 2x the expected writer count work well.
+  /// Number of sub-relations, in [1, MaxShards]. More shards = more
+  /// writer parallelism and more fan-out work for non-routed
+  /// operations; powers of two around 2x the expected writer count
+  /// work well.
   unsigned NumShards = 8;
   /// Column to partition by; defaults to the first column of the
   /// decomposition root's key (ShardRouter::defaultShardColumn).
@@ -78,7 +94,7 @@ public:
                               ConcurrentOptions Opts = ConcurrentOptions());
 
   // Read the facade's own immutable copy of the decomposition, not
-  // Shards.front(): shard pointers are COW-swapped by writers holding
+  // shard(0): shard pointers are COW-swapped by writers holding
   // only their own stripe, so an unlocked read of a shard slot races.
   const RelSpecRef &spec() const { return Proto.spec(); }
   const Catalog &catalog() const { return Proto.catalog(); }
@@ -216,10 +232,10 @@ public:
   void withTxLocks(const TxLockPlan &Plan, function_ref<void()> Body);
 
   /// Applies \p Ops as one transaction with locking delegated to the
-  /// caller: every stripe in \p Scope — which must cover
-  /// transactLockPlan(Ops) — is already held exclusively (see
-  /// withTxLocks). Same semantics and results as transact, including
-  /// the commit hook.
+  /// caller: called from withTxLocks' Body, whose scope already holds
+  /// every stripe in \p Scope (which must cover transactLockPlan(Ops))
+  /// and moves the size counter when it ends. Same semantics and
+  /// results as transact, including the commit hook.
   TxResult transactPreLocked(const std::vector<TxOp> &Ops,
                              const std::vector<unsigned> &Scope) {
     return transactLocked(Ops, Scope);
@@ -261,7 +277,7 @@ public:
   bool contains(const Tuple &Pattern) const;
 
   /// Lock-free; exact whenever it does not race a mutation.
-  size_t size() const { return Count.load(std::memory_order_relaxed); }
+  size_t size() const { return Core.size(); }
   bool empty() const { return size() == 0; }
 
   /// Empties every shard (all writer locks).
@@ -272,74 +288,19 @@ public:
   //===--------------------------------------------------------------------===
 
   /// A refcounted, immutable, globally consistent view of the whole
-  /// relation, acquired by snapshot() in O(shards) with no data copy.
-  /// The handle pins the shard instances (and their slab arenas) that
-  /// were live at acquisition: writers that later touch a pinned shard
-  /// clone it copy-on-write and swap in the clone, so the handle keeps
-  /// reading frozen state, lock-free, for as long as it lives. Dropping
-  /// the last reference releases the frozen instances — the write side
-  /// retired its own references through EpochManager at clone time, so
-  /// the state is reclaimed once both the grace period and the last
-  /// handle are gone. Copyable and movable; a default-constructed
-  /// handle is empty (valid() == false).
-  class Snapshot {
+  /// relation, acquired by snapshot() in O(shards) with no data copy:
+  /// ShardedCore's pin-counted handle (writers that later touch a
+  /// pinned shard clone it copy-on-write, so the handle keeps reading
+  /// frozen state, lock-free, for as long as it lives) plus the commit
+  /// ticket cut at the same point. Copyable and movable; a default-
+  /// constructed handle is empty (valid() == false).
+  class Snapshot : public ShardedCore<SynthesizedRelation>::Snapshot {
   public:
     Snapshot() = default;
-    /// The handle participates in the pin-count protocol writable()
-    /// relies on: construction/copy increment each pinned shard's pin
-    /// counter (the 0->1 transition only ever happens inside
-    /// snapshot(), under the all-stripe SHARED guard; copies start
-    /// from a count the source handle already holds above zero), and
-    /// destruction decrements with RELEASE order — the edge that
-    /// makes a writer's later acquire-load-of-zero happen-after every
-    /// read this handle performed.
-    Snapshot(const Snapshot &O)
-        : Shards(O.Shards), Pins(O.Pins), Ticket(O.Ticket), Count(O.Count) {
-      for (const std::shared_ptr<std::atomic<size_t>> &P : Pins)
-        P->fetch_add(1, std::memory_order_relaxed);
-    }
-    Snapshot &operator=(const Snapshot &O) {
-      if (this != &O) {
-        Snapshot Tmp(O);
-        *this = std::move(Tmp);
-      }
-      return *this;
-    }
-    /// Vector moves leave the source empty, so a moved-from handle
-    /// holds no pins and its destructor is a no-op.
-    Snapshot(Snapshot &&O) noexcept = default;
-    Snapshot &operator=(Snapshot &&O) noexcept {
-      if (this != &O) {
-        unpinAll();
-        Shards = std::move(O.Shards);
-        Pins = std::move(O.Pins);
-        Ticket = O.Ticket;
-        Count = O.Count;
-        O.Shards.clear();
-        O.Pins.clear();
-      }
-      return *this;
-    }
-    ~Snapshot() { unpinAll(); }
 
-    bool valid() const { return !Shards.empty(); }
-    unsigned numShards() const {
-      return static_cast<unsigned>(Shards.size());
-    }
     /// Newest commit ticket included in this snapshot: every commit
     /// with ticket <= ticket() is visible, none above it.
     uint64_t ticket() const { return Ticket; }
-    /// Tuples across all pinned shards (exact: counted under the same
-    /// acquisition that pinned them).
-    size_t size() const { return Count; }
-    bool empty() const { return Count == 0; }
-
-    /// Direct access to pinned shard \p I (immutable; reads are
-    /// reentrant and thread-safe, no locks involved).
-    const SynthesizedRelation &shard(unsigned I) const {
-      assert(I < Shards.size() && "shard index out of range");
-      return *Shards[I];
-    }
 
     /// Streaming scan over the snapshot — the sequential fan-out shape
     /// of ConcurrentRelation::scanFrames, but lock-free and immune to
@@ -355,23 +316,16 @@ public:
 
   private:
     friend class ConcurrentRelation;
-    void unpinAll() {
-      for (const std::shared_ptr<std::atomic<size_t>> &P : Pins)
-        P->fetch_sub(1, std::memory_order_release);
-    }
-    std::vector<std::shared_ptr<const SynthesizedRelation>> Shards;
-    /// Per-shard pin counters, paired with Shards entry for entry (the
-    /// counter travels with the state generation it pins — a COW swap
-    /// installs a fresh counter with the fresh state).
-    std::vector<std::shared_ptr<std::atomic<size_t>>> Pins;
+    using Base = ShardedCore<SynthesizedRelation>::Snapshot;
+    Snapshot(Base Pinned, uint64_t Ticket)
+        : Base(std::move(Pinned)), Ticket(Ticket) {}
     uint64_t Ticket = 0;
-    size_t Count = 0;
   };
 
   /// Acquires a consistent snapshot: one brief all-stripe SHARED
-  /// acquisition (writers excluded, readers admitted) covers reading
-  /// the N shard pointers, the commit ticket, and the size — O(shards)
-  /// work, no per-tuple work under any lock. The returned handle is
+  /// acquisition (writers excluded, readers admitted) covers pinning
+  /// the N shards, the commit ticket, and the size — O(shards) work,
+  /// no per-tuple work under any lock. The returned handle is
   /// self-contained; serialization/extraction happens against it with
   /// no facade locks held, while commits keep flowing (the first write
   /// to each pinned shard pays a one-time COW clone of that shard).
@@ -391,21 +345,23 @@ public:
   /// Live NodeInstances across shards (leak checks).
   size_t liveInstances() const;
 
-  /// Allocator counters of shard \p I's private slab arena, read under
-  /// the shard's reader lock (the shard pointer itself is COW-swapped
-  /// by writers). ArenaStats fields are relaxed atomics underneath, so
-  /// the numbers are a moving target; quiesce for exactness.
+  /// Allocator counters of shard \p I's private slab arena, read
+  /// through the shard's guarded read path (the shard pointer itself is
+  /// COW-swapped by writers). ArenaStats fields are relaxed atomics
+  /// underneath, so the numbers are a moving target; quiesce for
+  /// exactness.
   ArenaStats shardArenaStats(unsigned I) const {
-    assert(I < Shards.size() && "shard index out of range");
-    auto Lock = Locks.shared(I);
-    return Shards[I]->arenaStats();
+    assert(I < numShards() && "shard index out of range");
+    return Core.read(I, [](const SynthesizedRelation &Sh) {
+      return Sh.arenaStats();
+    });
   }
 
   /// Sum of every shard's arena counters (server stats / memory
   /// accounting). Same consistency caveat as shardArenaStats.
   ArenaStats arenaStats() const {
     ArenaStats Total;
-    for (unsigned I = 0; I != Shards.size(); ++I) {
+    for (unsigned I = 0; I != numShards(); ++I) {
       ArenaStats A = shardArenaStats(I);
       Total.Slabs += A.Slabs;
       Total.Bytes += A.Bytes;
@@ -419,66 +375,30 @@ public:
   /// fanouts, under all writer locks (no reader may hold a plan).
   void reoptimize();
 
+  /// True if the decomposition has a query plan for this shape (every
+  /// shard plans alike). Checked inside shard 0's guarded read, so it
+  /// never races a writer swapping that shard.
+  bool hasPlanFor(ColumnSet InputCols, ColumnSet OutputCols) const;
+
   /// Direct shard access for tests and benches. The caller is
   /// responsible for exclusion (e.g. after joining all worker
   /// threads); the facade's locks are not taken.
-  const SynthesizedRelation &shard(unsigned I) const { return *Shards[I]; }
+  const SynthesizedRelation &shard(unsigned I) const { return Core.shard(I); }
 
 private:
-  size_t removeAllShards(const Tuple &Pattern);
   size_t updateRehoming(const Tuple &Pattern, const Tuple &Changes);
 
-  /// Copy-on-write gate every mutation runs through: with shard \p S's
-  /// stripe held exclusively (and its fence raised), returns the shard
-  /// instance to mutate. When no snapshot pins the instance
-  /// (Pins[S] == 0) that is the live instance itself; otherwise the
-  /// instance is cloned (O(shard) — the one-time cost of the first
-  /// write after a snapshot), the frozen original's arena is detached
-  /// from the epoch hand-back protocol, the facade's reference to it
-  /// is retired through EpochManager, and the clone (with a fresh pin
-  /// counter) is swapped in.
-  /// The pin probe is sound AND racefree: the 0->1 transition only
-  /// happens under the all-stripes SHARED acquisition of snapshot()
-  /// (excluded by our exclusive stripe) — handle copies increment a
-  /// count their source handle already holds above zero — and handle
-  /// drops decrement with RELEASE order, so the acquire-load reading
-  /// zero happens-after every read the dropped handles made (an edge
-  /// a relaxed shared_ptr::use_count probe would not provide). A drop
-  /// racing the load at worst leaves the count inflated and costs a
-  /// spurious clone.
-  SynthesizedRelation &writable(unsigned S);
+  /// Applies \p Values to \p Old, the tuple of shard \p Owner matching
+  /// key pattern \p Key, inside an all-stripe write scope: in place
+  /// when the merged tuple stays home, else migrated to its new owner
+  /// (remove + reinsert). Returns the number of tuples changed.
+  size_t rehome(unsigned Owner, const Tuple &Key, const Tuple &Old,
+                const Tuple &Values);
 
-  /// A fresh, empty shard instance (concurrent reads + deferred
-  /// reclamation enabled, like the constructor's).
-  std::shared_ptr<SynthesizedRelation> freshShard() const;
-
-  /// Hands the facade's reference to a frozen shard instance to the
-  /// epoch retire list; the instance is destroyed after the grace
-  /// period AND the last snapshot handle drop.
-  static void retireShardRef(std::shared_ptr<SynthesizedRelation> Old);
-
-  /// Runs \p Body with read access to shard \p S: wait-free inside an
-  /// epoch section tagged with the shard's gate when no writer is
-  /// active on it, else under the shard's reader lock. \p Body may run
-  /// twice only in the sense that the epoch attempt is abandoned
-  /// *before* Body starts — Body itself always runs exactly once.
-  template <typename BodyT> void readShard(unsigned S, BodyT &&Body) const {
-    {
-      EpochGuard Guard(&Gates[S]);
-      if (!Gates[S].writerActive()) {
-        Body();
-        return;
-      }
-    }
-    auto Lock = Locks.shared(S);
-    Body();
-  }
-
-  /// Fence covering every shard's gate (fan-out mutations).
-  EpochWriterFence fenceAll() {
-    return EpochWriterFence(Gates.get(), AllShardIdx.data(),
-                            AllShardIdx.size());
-  }
+  /// Body() inside the write scope \p Plan names: every stripe, or
+  /// exactly Plan.Stripes.
+  template <typename BodyT>
+  decltype(auto) underPlan(const TxLockPlan &Plan, BodyT &&Body);
 
   /// The single shard a transact op touches, or nullopt when it must
   /// run under every stripe: its pattern misses the shard column, it
@@ -487,42 +407,24 @@ private:
   /// conflict probe itself cannot be confined to one shard.
   std::optional<unsigned> txRoutedShard(const TxOp &Op) const;
 
-  /// Applies the batch with every stripe in \p Scope already held
-  /// exclusively by the caller (Scope lists all stripes for fan-out
-  /// batches); maintains Count from the scope's size delta and stamps
-  /// the commit ticket.
+  /// Applies the batch inside a write scope holding every stripe in
+  /// \p Scope exclusively (Scope lists all stripes for fan-out
+  /// batches) and stamps the commit ticket; the scope moves the size
+  /// counter.
   TxResult transactLocked(const std::vector<TxOp> &Ops,
                           const std::vector<unsigned> &Scope);
 
   ShardRouter Router;
-  StripedLockSet Locks;
-  /// One writer gate per shard for the epoch read path (cache-line
-  /// padded, like the stripes).
-  std::unique_ptr<EpochGate[]> Gates;
-  /// 0..NumShards-1, for all-gate fences.
-  std::vector<unsigned> AllShardIdx;
   /// The facade's own immutable copy of the decomposition: the source
-  /// for spec()/catalog()/decomp() and for COW shard clones, readable
-  /// without any lock.
+  /// for spec()/catalog()/decomp(), readable without any lock.
   Decomposition Proto;
-  /// The live shard instances. shared_ptr: snapshot() pins the current
-  /// instances by reference and writers COW-swap pinned ones (see
-  /// writable()); each slot is only ever read or written under its
-  /// stripe / gate discipline, never concurrently with the swap.
-  std::vector<std::shared_ptr<SynthesizedRelation>> Shards;
-  /// Pin counter per shard slot, paired with Shards[S]: how many live
-  /// Snapshot handles pin that state generation. Lifetime rides a
-  /// shared_ptr because handles may outlive the relation; see
-  /// writable() for the acquire/release protocol.
-  std::vector<std::shared_ptr<std::atomic<size_t>>> Pins;
-  std::atomic<size_t> Count{0};
+  ShardedCore<SynthesizedRelation> Core;
   /// Monotone commit tickets for transact (see TxResult::Ticket).
   std::atomic<uint64_t> TxTickets{1};
   /// Durability hook (setCommitHook) and the mutex making ticket draw
   /// + hook call one atomic step, so hook order == ticket order.
   CommitHook Hook;
   std::mutex HookMu;
-  size_t ScanQueueCap;
   /// True if every FD's left-hand side contains the shard column, so
   /// every conflict probe for a tuple lands in that tuple's own shard
   /// and routed transact ops can validate FDs shard-locally.

@@ -309,24 +309,28 @@ void EpochManager::adoptOrphan(RetireList &&L) {
 
 EpochWriterFence::EpochWriterFence(EpochGate *Gates, const unsigned *Idx,
                                    size_t N)
-    : NumRaised(N) {
-  assert(N <= MaxGates && "fence over too many gates");
+    : Gates(Gates), Idx(Idx), N(N) {
   const void *Tags[MaxGates];
   for (size_t I = 0; I != N; ++I) {
     EpochGate *G = &Gates[Idx[I]];
-    Raised[I] = G;
-    Tags[I] = G;
+    if (I < MaxGates)
+      Tags[I] = G;
     // seq_cst store: the writer half of the Dekker handshake. The
     // exclusive stripe lock (held by contract) serializes fences on
     // the same gate, so a plain store of 1 cannot clobber a peer.
     G->Writer.store(1, std::memory_order_seq_cst);
   }
-  EpochManager::global().synchronize(Tags, N);
+  // Past MaxGates the tag list would not fit: wait untagged, which
+  // covers every section any of the gates could have admitted.
+  if (N <= MaxGates)
+    EpochManager::global().synchronize(Tags, N);
+  else
+    EpochManager::global().synchronizeAll();
 }
 
 EpochWriterFence::~EpochWriterFence() {
-  for (size_t I = NumRaised; I != 0; --I)
+  for (size_t I = N; I != 0; --I)
     // Release: the next wait-free reader's gate load (seq_cst implies
     // acquire) observes every write of the fenced mutation.
-    Raised[I - 1]->Writer.store(0, std::memory_order_release);
+    Gates[Idx[I - 1]].Writer.store(0, std::memory_order_release);
 }

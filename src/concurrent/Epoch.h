@@ -209,10 +209,13 @@ public:
 /// back to, and it is also what serializes fences on the same gate.
 class EpochWriterFence {
 public:
+  /// Up to this many gates the fence waits only for sections tagged
+  /// with one of them; a wider fence waits out every active section.
   static constexpr size_t MaxGates = 64;
 
   explicit EpochWriterFence(EpochGate &G) : EpochWriterFence(&G, OneIdx, 1) {}
-  /// Gates[Idx[0..N)] — N <= MaxGates (facade shard counts are small).
+  /// Gates[Idx[0..N)], any N. \p Idx must outlive the fence: the
+  /// destructor lowers the same gates.
   EpochWriterFence(EpochGate *Gates, const unsigned *Idx, size_t N);
   ~EpochWriterFence();
   EpochWriterFence(const EpochWriterFence &) = delete;
@@ -220,8 +223,9 @@ public:
 
 private:
   static const unsigned OneIdx[1];
-  EpochGate *Raised[MaxGates];
-  size_t NumRaised;
+  EpochGate *Gates;
+  const unsigned *Idx;
+  size_t N;
 };
 
 } // namespace relc

@@ -25,6 +25,12 @@
 
 namespace relc {
 
+/// Shard counts run from 1 to MaxShards: each shard costs a sub-
+/// instance plus a padded stripe and epoch gate. relc's `concurrency
+/// sharded N` directive and `--shards` flag, and relserved's `--shards`
+/// flag, all check against this bound.
+inline constexpr unsigned MaxShards = 4096;
+
 class ShardRouter {
 public:
   ShardRouter(ColumnId ShardCol, unsigned NumShards)

@@ -125,7 +125,6 @@ private:
   };
 
   void run();
-  void commitGroup(std::vector<Item> &Group);
 
   ConcurrentRelation &Rel;
   Wal *Log;

@@ -538,7 +538,7 @@ bool RelServer::handleFrame(const ConnPtr &C,
       return true;
     }
     ColumnSet Out = ColumnSet::fromMask(OutMask);
-    if (!Rel.shard(0).planFor(Pattern.columns(), Out)) {
+    if (!Rel.hasPlanFor(Pattern.columns(), Out)) {
       replyError(C, ReqId, "no plan for this query shape");
       return true;
     }

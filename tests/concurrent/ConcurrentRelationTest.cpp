@@ -26,6 +26,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 using namespace relc;
 
@@ -1304,6 +1306,64 @@ TEST_F(ConcurrentRelationTest, IpcapDecompositionRoundTrip) {
   EXPECT_EQ(Flows.size(), 4u);
   EXPECT_EQ(Rel.remove(TupleBuilder(ICat).set("local", 3).build()), 4u);
   EXPECT_EQ(Rel.size(), 60u);
+}
+
+TEST_F(ConcurrentRelationTest, FanOutWritesAboveFenceTagLimit) {
+#if defined(__SANITIZE_THREAD__)
+  // Single-threaded, so TSan has no race to find here; and a fan-out
+  // write holds all 65 stripe mutexes at once, one more than TSan's
+  // deadlock detector can track per thread (it aborts on its own
+  // internal CHECK).
+  GTEST_SKIP() << "holds 65 mutexes; TSan's deadlock detector tracks 64";
+#endif
+  // 65 shards: one more gate than the writer fence can match by tag,
+  // so every fan-out write waits its readers out untagged. Sharding by
+  // the non-key column cpu makes key-pattern writes fan out.
+  ConcurrentRelation Rel(Decomp, {65, Cat.get("cpu")});
+  Relation Oracle(Cat.allColumns());
+  for (int64_t Ns = 0; Ns != 10; ++Ns)
+    for (int64_t Pid = 0; Pid != 20; ++Pid) {
+      Tuple T = proc(Ns, Pid, (Ns + Pid) % 3, Ns * 20 + Pid);
+      Oracle.insert(T);
+      ASSERT_TRUE(Rel.insert(T));
+    }
+  EXPECT_EQ(Rel.size(), 200u);
+
+  // Fan-out remove: the pattern misses the shard column.
+  Tuple Idle = TupleBuilder(Cat).set("state", 1).build();
+  EXPECT_EQ(Rel.remove(Idle), Oracle.remove(Idle));
+  // Fan-out update in place, then one that rehomes the tuple.
+  Tuple Moved = TupleBuilder(Cat).set("state", 2).build();
+  EXPECT_EQ(Rel.update(key(0, 0), Moved), Oracle.update(key(0, 0), Moved));
+  Tuple Rehomed = TupleBuilder(Cat).set("cpu", 1000).build();
+  EXPECT_EQ(Rel.update(key(0, 0), Rehomed),
+            Oracle.update(key(0, 0), Rehomed));
+  EXPECT_EQ(Rel.toRelation(), Oracle);
+  EXPECT_EQ(Rel.size(), Oracle.size());
+
+  Rel.clear();
+  EXPECT_EQ(Rel.size(), 0u);
+  EXPECT_EQ(Rel.toRelation(), Relation(Cat.allColumns()));
+}
+
+TEST_F(ConcurrentRelationTest, PlanCheckDoesNotRaceCowSwap) {
+  // One shard, so every snapshot-then-insert clones and swaps the very
+  // shard hasPlanFor reads (the TSan job checks the pair is race-free).
+  ConcurrentRelation Rel(Decomp, {1, std::nullopt});
+  ColumnSet In = Cat.parseSet("ns"), Out = Cat.parseSet("pid, cpu");
+  std::atomic<bool> Done{false};
+  std::thread Checker([&] {
+    while (!Done.load(std::memory_order_acquire))
+      EXPECT_TRUE(Rel.hasPlanFor(In, Out));
+  });
+  for (int64_t Pid = 0; Pid != 200; ++Pid) {
+    ConcurrentRelation::Snapshot Snap = Rel.snapshot();
+    ASSERT_TRUE(Rel.insert(proc(0, Pid, Pid % 3, Pid)));
+    EXPECT_EQ(Snap.size(), static_cast<size_t>(Pid));
+  }
+  Done.store(true, std::memory_order_release);
+  Checker.join();
+  EXPECT_EQ(Rel.size(), 200u);
 }
 
 } // namespace

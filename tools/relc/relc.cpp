@@ -36,6 +36,7 @@
 #include "codegen/ir/IrPrinter.h"
 #include "codegen/ir/Lowering.h"
 #include "codegen/ir/Passes.h"
+#include "concurrent/ShardRouter.h"
 #include "decomp/Adequacy.h"
 #include "decomp/Printer.h"
 
@@ -95,10 +96,11 @@ int main(int argc, char **argv) {
       const char *Arg = argv[++I];
       char *End = nullptr;
       long V = std::strtol(Arg, &End, 10);
-      if (End == Arg || *End != '\0' || V < 0 || V > 4096) {
+      if (End == Arg || *End != '\0' || V < 0 || V > MaxShards) {
         std::fprintf(stderr,
                      "relc: error: --shards must be an integer in "
-                     "[0, 4096] (0 disables the facade)\n");
+                     "[0, %u] (0 disables the facade)\n",
+                     MaxShards);
         return 2;
       }
       Shards = static_cast<int>(V);

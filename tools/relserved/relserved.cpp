@@ -105,8 +105,16 @@ int serveMain(int argc, char **argv) {
   Opts.Port = static_cast<uint16_t>(intArg(argc, argv, "--port", 0));
   if (const char *Wal = strArg(argc, argv, "--wal"))
     Opts.WalPath = Wal;
-  Opts.Concurrent.NumShards =
-      static_cast<unsigned>(intArg(argc, argv, "--shards", 8));
+  int64_t Shards = intArg(argc, argv, "--shards", 8);
+  if (Shards < 1 || Shards > MaxShards) {
+    std::fprintf(stderr,
+                 "relserved: error: --shards must be in [1, %u]\n"
+                 "usage: relserved [--port N] [--port-file P] [--wal P] "
+                 "[--shards N] [--max-group N] [--checkpoint-every N]\n",
+                 MaxShards);
+    return 2;
+  }
+  Opts.Concurrent.NumShards = static_cast<unsigned>(Shards);
   Opts.MaxGroup = static_cast<size_t>(intArg(argc, argv, "--max-group", 64));
   Opts.CheckpointEvery =
       static_cast<uint64_t>(intArg(argc, argv, "--checkpoint-every", 0));
