@@ -10,6 +10,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <future>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -279,6 +281,11 @@ void RelServer::acceptLoop() {
       ::close(Fd);
       return;
     }
+    // Replies are small and latency-bound: send each frame at once
+    // rather than wait for the ACK of the previous one (the client's
+    // wire::connectTcp does the same).
+    int One = 1;
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     std::lock_guard<std::mutex> Lock(ConnMu);
@@ -322,6 +329,12 @@ void RelServer::connLoop(ConnPtr C) {
 
 void RelServer::reply(const ConnPtr &C, Status St, uint64_t ReqId,
                       const std::vector<uint8_t> &Payload) {
+  // Status and request id, then the payload: a body writeFrame would
+  // refuse gets an Error, never silence.
+  if (Payload.size() > wire::MaxBody - 9) {
+    replyError(C, ReqId, "reply exceeds wire::MaxBody");
+    return;
+  }
   wire::ByteWriter W;
   W.u8(static_cast<uint8_t>(St));
   W.u64(ReqId);

@@ -7,7 +7,8 @@
 // The wire layer, attacked from both sides: property-style round-trips
 // of every value/tuple/op encoding through ByteWriter/ByteReader, the
 // decoder fed every truncation of valid bytes (it must fail cleanly,
-// never crash), and a live RelServer fed malformed frames — oversized
+// never crash), a MaxBody frame cut into short writes that must arrive
+// whole, and a live RelServer fed malformed frames — oversized
 // length prefixes, truncated bodies, unknown opcodes, zero-length
 // batches, garbage payloads — which must produce a clean error reply
 // or a clean close, never a crash or a hang, and must leave well-
@@ -23,8 +24,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <memory>
+#include <pthread.h>
 #include <set>
+#include <sys/socket.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace relc;
 
@@ -200,6 +208,65 @@ TEST(WireCodec, ReaderRejectsJunk) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frames over a raw socket
+//===----------------------------------------------------------------------===//
+
+void ignoreSignal(int) {}
+
+/// writeFrame sends prefix and body with one sendmsg, so a short write
+/// can stop inside either part. A small send buffer makes the writer
+/// block over and over on a MaxBody frame, and signals (no SA_RESTART)
+/// cut those blocked calls short: with bytes already queued, sendmsg
+/// returns a partial count; with none, EINTR. Both frames must still
+/// arrive whole and in order.
+TEST(WireFrame, ShortWritesAcrossPrefixAndBodyArriveIntact) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  int Small = 4096;
+  ASSERT_EQ(::setsockopt(Fds[0], SOL_SOCKET, SO_SNDBUF, &Small,
+                         sizeof(Small)),
+            0);
+  struct sigaction Action{}, Old{};
+  Action.sa_handler = ignoreSignal;
+  sigemptyset(&Action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &Action, &Old), 0);
+
+  std::vector<uint8_t> Big(wire::MaxBody);
+  for (size_t I = 0; I != Big.size(); ++I)
+    Big[I] = static_cast<uint8_t>(I * 131 + (I >> 11));
+  std::atomic<bool> Written{false};
+  bool WroteBig = false, WroteEmpty = false;
+  std::thread Writer([&] {
+    WroteBig = wire::writeFrame(Fds[0], Big);
+    WroteEmpty = wire::writeFrame(Fds[0], nullptr, 0);
+    Written.store(true);
+  });
+  std::vector<uint8_t> Got, Empty{1, 2, 3};
+  bool ReadBig = false, ReadEmpty = false;
+  std::thread Reader([&] {
+    ReadBig = wire::readFrame(Fds[1], Got);
+    ReadEmpty = wire::readFrame(Fds[1], Empty);
+  });
+  // The writer's handle stays valid until the join below.
+  while (!Written.load()) {
+    ::pthread_kill(Writer.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  Writer.join();
+  Reader.join();
+  ::sigaction(SIGUSR1, &Old, nullptr);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+
+  EXPECT_TRUE(WroteBig);
+  EXPECT_TRUE(WroteEmpty);
+  ASSERT_TRUE(ReadBig);
+  EXPECT_TRUE(Got == Big);
+  EXPECT_TRUE(ReadEmpty);
+  EXPECT_TRUE(Empty.empty());
+}
+
+//===----------------------------------------------------------------------===//
 // Live-server protocol tests
 //===----------------------------------------------------------------------===//
 
@@ -358,6 +425,79 @@ TEST_F(WireServerTest, PipelinedTransactsAllAnswered) {
   EXPECT_EQ(Seen.size(), Ids.size());
   for (uint64_t Id : Ids)
     EXPECT_TRUE(Seen.count(Id));
+}
+
+/// Blocking round trips cost what the server does. A reply body that
+/// waits for the client's delayed ACK of its length prefix (Nagle's
+/// algorithm) costs ~44 ms a round trip, which would make these 200
+/// take at least 8.8 s.
+TEST_F(WireServerTest, BlockingRoundTripsAreNotHeldForAcks) {
+  RelClient Cli;
+  ASSERT_TRUE(Cli.connect(Server->port()));
+  RelClient::Reply R;
+  ASSERT_TRUE(Cli.insert(account(1, 1, 1000), &R));
+  ASSERT_TRUE(Cli.insert(account(2, 1, 1000), &R));
+  ColumnId Bal = Cat->get("balance");
+
+  auto T0 = std::chrono::steady_clock::now();
+  for (int I = 0; I != 200; ++I) {
+    if (I % 3 == 0) {
+      ASSERT_TRUE(Cli.ping());
+    } else if (I % 3 == 1) {
+      std::vector<Tuple> Rows;
+      ASSERT_TRUE(Cli.query(key(1, 1), Cat->allColumns(), Rows));
+      ASSERT_EQ(Rows.size(), 1u);
+    } else {
+      ASSERT_TRUE(Cli.transact({wire::WireTxOp::add(key(1, 1), Bal, -1, 0),
+                                wire::WireTxOp::add(key(2, 1), Bal, 1)},
+                               &R));
+      ASSERT_TRUE(R.ok());
+    }
+  }
+  std::chrono::duration<double> Took = std::chrono::steady_clock::now() - T0;
+  EXPECT_LT(Took.count(), 2.0) << "200 blocking round trips";
+}
+
+/// A reply the frame cannot hold (above wire::MaxBody) is answered with
+/// an Error rather than dropped, and the connection keeps serving.
+TEST_F(WireServerTest, OversizedReplyGetsErrorReply) {
+  RelClient Cli;
+  ASSERT_TRUE(Cli.connect(Server->port()));
+  // A row encodes to 35 bytes (mask and three ints), so 32,000 rows
+  // make a full-relation answer of 1.12 MB.
+  const int Batches = 32, PerBatch = 1000;
+  for (int B = 0; B != Batches; ++B) {
+    std::vector<wire::WireTxOp> Ops;
+    for (int I = 0; I != PerBatch; ++I)
+      Ops.push_back(wire::WireTxOp::insert(account(B, I, 1)));
+    ASSERT_NE(Cli.sendTransact(Ops), 0u);
+  }
+  RelClient::Reply R;
+  for (int B = 0; B != Batches; ++B) {
+    ASSERT_TRUE(Cli.recvReply(R));
+    ASSERT_TRUE(R.ok());
+  }
+
+  // A dropped reply would block the read for good: bound it.
+  timeval Limit{10, 0};
+  ASSERT_EQ(::setsockopt(Cli.fd(), SOL_SOCKET, SO_RCVTIMEO, &Limit,
+                         sizeof(Limit)),
+            0);
+  wire::ByteWriter W;
+  W.u8(static_cast<uint8_t>(wire::Op::Query));
+  W.u64(77);
+  W.tuple(Tuple());
+  W.u64(Cat->allColumns().mask());
+  ASSERT_TRUE(Cli.sendRaw(W.data()));
+  ASSERT_TRUE(Cli.recvReply(R)) << "no reply within 10 s";
+  EXPECT_EQ(R.St, wire::Status::Error);
+  EXPECT_EQ(R.ReqId, 77u);
+  EXPECT_EQ(R.Error, "reply exceeds wire::MaxBody");
+
+  std::vector<Tuple> Rows;
+  ASSERT_TRUE(Cli.query(key(3, 3), Cat->allColumns(), Rows));
+  ASSERT_EQ(Rows.size(), 1u);
+  EXPECT_EQ(Rows[0].get(Cat->get("balance")).asInt(), 1);
 }
 
 TEST_F(WireServerTest, OversizedLengthPrefixClosesConnection) {
